@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,18 @@ inline cli::options bench_sweep_options(char** argv, const char* summary) {
 /// Folds the declared `--jobs` flag into a concrete worker count.
 inline unsigned jobs_from(const cli::options& opt) {
   return exec::resolve_jobs(opt.get_u64("jobs"));
+}
+
+/// Reads a declared `--shards` flag; exits 2 unless it names at least one
+/// shard (an execution domain cannot run on zero).
+inline unsigned shards_from(const cli::options& opt) {
+  const auto n = opt.get_u64("shards");
+  if (n == 0 || n > std::numeric_limits<unsigned>::max()) {
+    std::fprintf(stderr, "--shards: expected 1..%u, got %llu\n",
+                 std::numeric_limits<unsigned>::max(), static_cast<unsigned long long>(n));
+    std::exit(2);
+  }
+  return static_cast<unsigned>(n);
 }
 
 /// Reads a declared `--format` flag; exits 2 on bad values.

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   base.remote_fraction = static_cast<double>(opt.get_u64("remote_pct")) / 100.0;
   base.service = sim::microseconds(static_cast<double>(opt.get_u64("service_us")));
   base.seed = opt.get_u64("seed");
-  base.shards = static_cast<unsigned>(opt.get_u64("shards"));
+  base.shards = bench::shards_from(opt);
   base.adaptive_lookahead = opt.get_flag("adaptive-lookahead");
 
   const locks::lock_kind kinds[] = {

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   base.machine = sim::machine_config::hierarchical_numa(
       static_cast<unsigned>(opt.get_u64("groups")),
       static_cast<unsigned>(opt.get_u64("group_nodes")));
-  base.shards = static_cast<unsigned>(opt.get_u64("shards"));
+  base.shards = bench::shards_from(opt);
   base.locks_per_group = 1;
   base.requests_per_group = opt.get_u64("requests");
   base.mean_interarrival_us = static_cast<double>(opt.get_u64("interarrival_us"));

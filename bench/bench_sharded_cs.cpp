@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   base.think_time = sim::microseconds(static_cast<double>(opt.get_u64("think_us")));
   base.remote_every = opt.get_u64("remote_every");
   base.seed = opt.get_u64("seed");
-  base.shards = static_cast<unsigned>(opt.get_u64("shards"));
+  base.shards = bench::shards_from(opt);
   base.adaptive_lookahead = opt.get_flag("adaptive-lookahead");
 
   const locks::lock_kind kinds[] = {

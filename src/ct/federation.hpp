@@ -17,8 +17,7 @@
 //
 // Because each group's machine is seeded as a pure function of (seed, group)
 // and all cross-group traffic merges at window barriers in (at, origin)
-// order, a federated workload is bit-identical on the sequential queue and
-// on any shard/worker count.
+// order, a federated workload is bit-identical at any shard/worker count.
 //
 // The butterfly wire model is rejected: its staged network prices paths by
 // *global* node ids, which a trimmed per-group machine cannot reproduce.

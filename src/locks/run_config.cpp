@@ -172,7 +172,8 @@ run_config run_config::from_json(std::string_view text) {
     read_num(to, "latency_spike_us", rc.perturb.latency_spike_us);
   }
   if (const auto* s = json_find(o, "seed")) rc.seed = s->number<std::uint64_t>();
-  if (const auto* sh = json_find(o, "shards")) rc.shards = sh->number<unsigned>();
+  read_num(o, "shards", rc.shards);
+  if (rc.shards == 0) throw std::invalid_argument("run_config: shards must be >= 1");
   read_bool(o, "adaptive_lookahead", rc.adaptive_lookahead);
   if (const auto* ob = json_find(o, "object")) rc.object = ob->str();
   if (const auto* op = json_find(o, "object_policy")) {

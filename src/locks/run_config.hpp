@@ -48,7 +48,7 @@ struct run_config {
   /// spec means "the object's own default policy".
   policy::policy_spec object_policy{};
   /// DES shards for workloads running on an execution domain (federated ct
-  /// sweeps, open-loop serving). 1 = the sequential queue; results are
+  /// sweeps, open-loop serving); must be >= 1. Results are
   /// bit-identical at every value, so this is purely a wall-clock knob.
   unsigned shards = 1;
   /// Opt-in adaptive lookahead for the execution domain: windows widen over

@@ -15,8 +15,8 @@ bool sharded_event_queue::window(exec::job_executor* ex) {
   bool any = false;
   vtime tmin{};
   for (const auto& s : shards_) {
-    if (s->q.empty()) continue;
-    if (!any || s->q.next_at() < tmin) tmin = s->q.next_at();
+    if (s.q.empty()) continue;
+    if (!any || s.q.next_at() < tmin) tmin = s.q.next_at();
     any = true;
   }
   if (!any) return false;
@@ -37,9 +37,9 @@ bool sharded_event_queue::window(exec::job_executor* ex) {
     const vtime until{(tmin + lookahead_ * static_cast<std::int64_t>(k)).ns - 1};
     if (ex != nullptr) {
       ex->for_each(shards_.size(),
-                   [&](std::size_t i) { shards_[i]->q.run_until(until); });
+                   [&](std::size_t i) { shards_[i].q.run_until(until); });
     } else {
-      for (auto& s : shards_) s->q.run_until(until);
+      for (auto& s : shards_) s.q.run_until(until);
     }
     if (k < w) traffic += deliver_outboxes();
   }
@@ -59,21 +59,23 @@ std::uint64_t sharded_event_queue::deliver_outboxes() {
   // count (the key never mentions a shard index). The stable sort makes even
   // duplicate-origin ties deterministic for a fixed shard count: outboxes
   // are concatenated in shard order and each one is in emission order.
-  std::vector<pending_send> all;
+  merge_.clear();
   for (auto& s : shards_) {
-    for (auto& p : s->outbox) all.push_back(std::move(p));
-    s->outbox.clear();
+    if (s.outbox.empty()) continue;
+    for (auto& p : s.outbox) merge_.push_back(std::move(p));
+    s.outbox.clear();
   }
-  if (all.empty()) return 0;
-  std::stable_sort(all.begin(), all.end(), [](const pending_send& a, const pending_send& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.origin < b.origin;
-  });
-  for (auto& p : all) {
-    shards_[p.to]->q.schedule_at(p.at, std::move(p.fn));
+  if (merge_.empty()) return 0;
+  std::stable_sort(merge_.begin(), merge_.end(),
+                   [](const pending_send& a, const pending_send& b) {
+                     if (a.at != b.at) return a.at < b.at;
+                     return a.origin < b.origin;
+                   });
+  for (auto& p : merge_) {
+    shards_[p.to].q.schedule_at(p.at, std::move(p.fn));
   }
-  cross_sends_ += all.size();
-  return all.size();
+  cross_sends_ += merge_.size();
+  return merge_.size();
 }
 
 std::uint64_t sharded_event_queue::run_budgeted(exec::job_executor* ex,

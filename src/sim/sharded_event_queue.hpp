@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -48,14 +47,28 @@ class sharded_event_queue {
   /// `shards` independent sub-queues; `lookahead` is the conservative
   /// synchronization horizon (must be positive — a zero lookahead would
   /// serialize every event and deadlock the window loop).
-  sharded_event_queue(unsigned shards, vdur lookahead)
-      : lookahead_(lookahead) {
+  ///
+  /// Adaptive lookahead (opt-in; off by default so the base contract stays
+  /// byte-for-byte the fixed-window grid). When a whole round moves zero
+  /// cross-shard deliveries, the next round runs up to `max_widen`
+  /// consecutive L-sized sub-segments in one go — with a delivery barrier
+  /// after every sub-segment, so L remains the correctness floor and any
+  /// send still lands at a grid barrier at or before its timestamp. Any
+  /// delivered traffic decays the factor back to 1. The widening state is
+  /// driven only by the delivered-send count, which is itself
+  /// shard-invariant, so results stay bit-identical at every shard/worker
+  /// count; workloads that always send exactly at the horizon (now + L) are
+  /// additionally bit-identical to their non-adaptive runs.
+  sharded_event_queue(unsigned shards, vdur lookahead, bool adaptive_lookahead = false,
+                      unsigned max_widen = 8)
+      : shards_(shards),
+        lookahead_(lookahead),
+        adaptive_(adaptive_lookahead),
+        max_widen_(max_widen < 1 ? 1 : max_widen) {
     if (shards == 0) throw std::invalid_argument("sharded_event_queue: shards must be > 0");
     if (lookahead.ns <= 0) {
       throw std::invalid_argument("sharded_event_queue: lookahead must be positive");
     }
-    shards_.reserve(shards);
-    for (unsigned i = 0; i < shards; ++i) shards_.push_back(std::make_unique<shard>());
   }
   sharded_event_queue(const sharded_event_queue&) = delete;
   sharded_event_queue& operator=(const sharded_event_queue&) = delete;
@@ -69,7 +82,7 @@ class sharded_event_queue {
   /// use send().
   template <typename F>
   void schedule_at(unsigned shard, vtime at, F&& fn) {
-    shards_.at(shard)->q.schedule_at(at, std::forward<F>(fn));
+    shards_.at(shard).q.schedule_at(at, std::forward<F>(fn));
   }
 
   /// Cross-shard send honoring the conservative contract: `at` must be at
@@ -79,7 +92,7 @@ class sharded_event_queue {
   /// shard of the currently executing event (or any shard during setup).
   template <typename F>
   void send(unsigned from, unsigned to, vtime at, std::uint64_t origin, F&& fn) {
-    auto& src = *shards_.at(from);
+    auto& src = shards_.at(from);
     if (to >= shards_.size()) throw std::out_of_range("sharded_event_queue::send: bad shard");
     if (at < src.q.now() + lookahead_) {
       throw std::logic_error(
@@ -102,23 +115,6 @@ class sharded_event_queue {
   /// barriers — is shard-invariant too. `ex` may be null (sequential).
   std::uint64_t run_budgeted(exec::job_executor* ex, std::uint64_t max_events);
 
-  /// Adaptive lookahead (opt-in; off by default so the base contract stays
-  /// byte-for-byte what PR 8 shipped). When a whole round moves zero
-  /// cross-shard deliveries, the next round runs up to `max_widen`
-  /// consecutive L-sized sub-segments in one go — with a delivery barrier
-  /// after every sub-segment, so L remains the correctness floor and any
-  /// send still lands at a grid barrier at or before its timestamp. Any
-  /// delivered traffic decays the factor back to 1. The widening state is
-  /// driven only by the delivered-send count, which is itself
-  /// shard-invariant, so results stay bit-identical at every shard/worker
-  /// count; workloads that always send exactly at the horizon (now + L) are
-  /// additionally bit-identical to their non-adaptive runs.
-  void set_adaptive_lookahead(bool on, unsigned max_widen = 8) {
-    adaptive_ = on;
-    max_widen_ = max_widen < 1 ? 1 : max_widen;
-    if (!on) widen_ = 1;
-  }
-  [[nodiscard]] bool adaptive_lookahead() const { return adaptive_; }
   /// Rounds that ran with a widened (> 1 sub-segment) horizon.
   [[nodiscard]] std::uint64_t widened_windows() const { return widened_windows_; }
   /// Largest widen factor any round actually used.
@@ -127,32 +123,28 @@ class sharded_event_queue {
   /// Direct access to one shard's queue (setup, and events running on that
   /// shard). The sharded workloads hand each node group's machine its
   /// shard's queue so all thread scheduling stays shard-local.
-  [[nodiscard]] event_queue& shard_queue(unsigned shard) { return shards_.at(shard)->q; }
-
-  /// Pre-sizes every shard's private callback slab so the parallel windows
-  /// of a run with bursts of up to `per_shard` in-flight events never
-  /// allocate (see event_queue::reserve_slots).
-  void reserve_slots(std::size_t per_shard) {
-    for (auto& s : shards_) s->q.reserve_slots(per_shard);
+  [[nodiscard]] event_queue& shard_queue(unsigned shard) { return shards_.at(shard).q; }
+  [[nodiscard]] const event_queue& shard_queue(unsigned shard) const {
+    return shards_.at(shard).q;
   }
 
   /// The given shard's clock (its last executed event's timestamp).
-  [[nodiscard]] vtime now(unsigned shard) const { return shards_.at(shard)->q.now(); }
+  [[nodiscard]] vtime now(unsigned shard) const { return shards_.at(shard).q.now(); }
   /// Latest clock across shards — the simulation's end time after run().
   [[nodiscard]] vtime now() const {
     vtime t{};
-    for (const auto& s : shards_) t = max(t, s->q.now());
+    for (const auto& s : shards_) t = max(t, s.q.now());
     return t;
   }
   [[nodiscard]] bool empty() const {
     for (const auto& s : shards_) {
-      if (!s->q.empty() || !s->outbox.empty()) return false;
+      if (!s.q.empty() || !s.outbox.empty()) return false;
     }
     return true;
   }
   [[nodiscard]] std::uint64_t processed() const {
     std::uint64_t n = 0;
-    for (const auto& s : shards_) n += s->q.processed();
+    for (const auto& s : shards_) n += s.q.processed();
     return n;
   }
   /// Synchronization rounds executed so far. A pure function of the global
@@ -168,7 +160,8 @@ class sharded_event_queue {
     unsigned to;
     event_queue::callback fn;
   };
-  struct shard {
+  /// Cache-line aligned so parallel windows never false-share two shards.
+  struct alignas(64) shard {
     event_queue q;
     std::vector<pending_send> outbox;  ///< written only by the shard's worker
   };
@@ -178,12 +171,13 @@ class sharded_event_queue {
   /// Flushes all outboxes in (at, origin) order; returns deliveries made.
   std::uint64_t deliver_outboxes();
 
-  std::vector<std::unique_ptr<shard>> shards_;
+  std::vector<shard> shards_;
+  std::vector<pending_send> merge_;  ///< barrier scratch, reused every window
   vdur lookahead_;
   std::uint64_t windows_{0};
   std::uint64_t cross_sends_{0};
-  bool adaptive_{false};
-  unsigned max_widen_{8};
+  bool adaptive_;
+  unsigned max_widen_;
   std::uint64_t widen_{1};
   std::uint64_t widened_windows_{0};
   std::uint64_t peak_widen_{1};

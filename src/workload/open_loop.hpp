@@ -1,4 +1,4 @@
-// Open-loop request-serving workload on the sharded DES.
+// Open-loop request-serving workload on the execution domain.
 //
 // The closed-loop workloads (cs_workload, client_server) measure makespan: T
 // threads loop as fast as the lock lets them, so offered load falls whenever
@@ -13,9 +13,9 @@
 // queue depth — the regime where the paper's adaptation argument matters most.
 //
 // Scale-out: the machine is a hierarchical NUMA config; each NUMA group owns
-// `locks_per_group` lock-guarded objects and an arrival process, and runs on
-// a `sim::sharded_event_queue` shard (group % shards). Cross-group requests
-// travel through sharded_event_queue::send() with transit exactly equal to
+// `locks_per_group` lock-guarded objects and an arrival process, and is one
+// place of a `sim::event_domain` (its queue, its rng stream). Cross-group
+// requests travel through event_domain::send() with transit exactly equal to
 // the conservative lookahead (machine.min_cross_group_latency()), tagged with
 // the shard-count-invariant origin (group << 32 | counter) — so results are
 // bit-identical for ANY shard count and ANY worker count. The lock dynamics
@@ -40,8 +40,8 @@ struct open_loop_config {
   locks::lock_params params{};
   locks::lock_cost_model cost = locks::lock_cost_model::butterfly_cthreads();
 
-  /// DES shards (groups are assigned round-robin: shard = group % shards).
-  /// Results are bit-identical at every value; 1 is the sequential queue.
+  /// DES shards (> 0; groups are assigned round-robin: shard = group %
+  /// shards). Results are bit-identical at every value.
   unsigned shards = 1;
 
   /// Lock-guarded objects per NUMA group.
@@ -57,7 +57,7 @@ struct open_loop_config {
   double mean_service_us = 40.0;
 
   /// Fraction of a group's requests that target a lock in another group
-  /// (these ride sharded_event_queue::send at exactly the lookahead horizon).
+  /// (these ride event_domain::send at exactly the lookahead horizon).
   double remote_ratio = 0.10;
 
   /// Square-wave burst modulation: during every other `burst_period_us`
@@ -91,13 +91,11 @@ struct open_loop_result {
   double throughput{0.0};
 };
 
-/// Runs the workload with sequential windows (no thread pool).
-[[nodiscard]] open_loop_result run_open_loop(const open_loop_config& cfg);
-
-/// Runs the workload fanning each synchronization window's shards across
-/// `ex`'s workers. Bit-identical to the sequential overload.
+/// Runs the workload, fanning each synchronization window's shards across
+/// `ex`'s workers (sequential windows when null). Results are identical.
+/// Throws std::invalid_argument on a bad config (including shards == 0).
 [[nodiscard]] open_loop_result run_open_loop(const open_loop_config& cfg,
-                                             exec::job_executor& ex);
+                                             exec::job_executor* ex = nullptr);
 
 /// Sweep driver: each configuration is an independent sequential-window
 /// simulation; sweep points fan out across `ex`'s workers, collected by

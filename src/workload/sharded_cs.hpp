@@ -13,8 +13,8 @@
 //
 // Determinism: locks are place-bound, all think-time jitter is pre-drawn
 // host-side in (group, thread, iteration) order from one rng, and every
-// cross-group influence is a tagged send — so the run is bit-identical on
-// the sequential queue and at every shard/worker count.
+// cross-group influence is a tagged send — so the run is bit-identical at
+// every shard/worker count.
 #pragma once
 
 #include <cstdint>

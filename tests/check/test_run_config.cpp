@@ -87,10 +87,12 @@ TEST(RunConfig, MalformedJsonThrows) {
 }
 
 TEST(RunConfig, RejectsZeroGroupSize) {
-  // group_size feeds machine_config::group_of()/groups() as a divisor; zero
-  // must be rejected at the parse boundary, not crash the first model query.
-  EXPECT_THROW((void)run_config::from_json(R"({"machine": {"group_size": 0}})"),
-               std::invalid_argument);
+  // group_size feeds machine_config::group_of()/groups() as a divisor, and
+  // shards sizes the execution domain; zero must be rejected at the parse
+  // boundary, not crash the first model query or the domain factory.
+  for (const char* bad : {R"({"machine": {"group_size": 0}})", R"({"shards": 0})"}) {
+    EXPECT_THROW((void)run_config::from_json(bad), std::invalid_argument) << bad;
+  }
   const auto rc = run_config::from_json(R"({"machine": {"group_size": 4}})");
   EXPECT_EQ(rc.machine.group_size, 4u);
 }

@@ -77,7 +77,7 @@ TEST(OpenLoop, ParallelWorkersMatchSequential) {
   cfg.shards = 4;
   const auto seq = run_open_loop(cfg);
   exec::job_executor ex(3);
-  const auto par = run_open_loop(cfg, ex);
+  const auto par = run_open_loop(cfg, &ex);
   EXPECT_EQ(par.completed, seq.completed);
   EXPECT_EQ(par.elapsed.ns, seq.elapsed.ns);
   EXPECT_EQ(par.p50_ns, seq.p50_ns);
