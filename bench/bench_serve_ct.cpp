@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
       m.get_counter(prefix + ".remote").set(r.remote_requests);
       m.get_counter(prefix + ".acquisitions").set(r.acquisitions);
       m.get_counter(prefix + ".posts").set(r.posts);
-      m.set_histogram(prefix + ".latency_us", r.latency);
+      m.set_histogram(prefix + ".latency_ns", r.latency);
       tele->publish_metrics(m, r.elapsed.ns);
       tele->publish_result(locks::to_string(kind),
                            !r.completed || r.served != r.generated, "");

@@ -40,7 +40,7 @@ class lock_stats {
   void on_acquired(sim::vtime at, sim::vdur waited, std::uint32_t tid) {
     ++acquisitions_;
     wait_time_.add(waited.us());
-    wait_hist_.add(waited.us());
+    wait_hist_.add(static_cast<std::uint64_t>(waited.ns));
     held_since_ = at;
     // Release-to-acquire gap: with a release already recorded this is the
     // handoff latency of the grant (dispatch + wakeup under direct handoff,
@@ -57,7 +57,7 @@ class lock_stats {
     ++releases_;
     const auto held = at - held_since_;
     held_time_.add(held.us());
-    held_hist_.add(held.us());
+    held_hist_.add(static_cast<std::uint64_t>(held.ns));
     last_held_ = held;
     last_release_at_ = at;
     if (tracing()) {
@@ -182,8 +182,8 @@ class lock_stats {
     m.get_counter(prefix + ".reconfigures").set(reconfigures_);
     m.get_gauge(prefix + ".peak_waiting").set(static_cast<double>(peak_waiting_));
     m.get_gauge(prefix + ".contention_ratio").set(contention_ratio());
-    m.set_histogram(prefix + ".wait_us", wait_hist_);
-    m.set_histogram(prefix + ".held_us", held_hist_);
+    m.set_histogram(prefix + ".wait_ns", wait_hist_);
+    m.set_histogram(prefix + ".held_ns", held_hist_);
   }
 
   [[nodiscard]] std::uint64_t requests() const { return requests_; }
@@ -204,8 +204,6 @@ class lock_stats {
   [[nodiscard]] const sim::accumulator& wait_time_us() const { return wait_time_; }
   [[nodiscard]] const sim::accumulator& held_time_us() const { return held_time_; }
   [[nodiscard]] const sim::accumulator& waiting_depth() const { return waiting_dist_; }
-  [[nodiscard]] const obs::log_histogram& wait_histogram() const { return wait_hist_; }
-  [[nodiscard]] const obs::log_histogram& held_histogram() const { return held_hist_; }
 
   /// Fraction of acquisitions that found the lock busy.
   [[nodiscard]] double contention_ratio() const {
@@ -231,8 +229,8 @@ class lock_stats {
   sim::accumulator wait_time_;
   sim::accumulator held_time_;
   sim::accumulator waiting_dist_;
-  obs::log_histogram wait_hist_{/*min_value=*/0.5};
-  obs::log_histogram held_hist_{/*min_value=*/0.5};
+  obs::log_histogram wait_hist_;  ///< ns
+  obs::log_histogram held_hist_;  ///< ns
   sim::trace* pattern_{nullptr};
 
   lock_object* owner_{nullptr};

@@ -1,17 +1,25 @@
-// Log-scaled histogram with percentile queries (HdrHistogram-style).
+// HDR-style log-linear histogram over non-negative integers (nanoseconds):
+// the one histogram behind lock wait/hold times, serving latencies, the
+// metrics registry and the telemetry wire.
 //
-// Buckets cover geometric octaves [min·2^o, min·2^(o+1)) split into a fixed
-// number of linear sub-buckets, so relative quantization error is bounded by
-// 2^(1/sub_per_octave) (~9% at the default 8) across the whole range —
-// exactly what wait-time / critical-section-length / spin-count
-// distributions need, where values span five orders of magnitude.
+// Each power-of-two octave is split into 2^sub_bits linear sub-buckets, so
+// relative quantile error is bounded by 2^-sub_bits (~3%) across the whole
+// 64-bit range; values below 2^sub_bits get a bucket each and are exact.
+// Bucket indexing is pure integer arithmetic and merge is bucket-wise
+// addition, so per-shard histograms merged in any order yield bit-identical
+// quantiles — the property the sharded scenarios are gated on.
 //
-// add() is allocation-free after construction (fixed bucket vector), cheap
-// enough to run always-on inside lock instrumentation.
+// Storage spans exactly the lowest to the highest bucket index seen, with no
+// slack: every lock carries two of these, and serving latencies that start
+// at tens of µs would otherwise pay for ~300 empty low buckets each.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -19,144 +27,161 @@ namespace adx::obs {
 
 class log_histogram {
  public:
-  explicit log_histogram(double min_value = 1.0, unsigned sub_per_octave = 8,
-                         unsigned octaves = 48)
-      : min_value_(min_value > 0 ? min_value : 1.0),
-        sub_(sub_per_octave == 0 ? 1 : sub_per_octave),
-        buckets_(1 + static_cast<std::size_t>(octaves) * sub_, 0) {}
+  static constexpr unsigned sub_bits = 5;
+  /// Buckets needed to cover the whole 64-bit range (index_of(2^64-1) + 1).
+  static constexpr std::size_t max_buckets = (64 - sub_bits + 1) << sub_bits;
 
-  void add(double x) {
-    ++count_;
-    sum_ += x;
-    if (x < min_seen_) min_seen_ = x;
-    if (x > max_seen_) max_seen_ = x;
-    ++buckets_[index_of(x)];
+  /// (bucket index, count) pairs, ascending by index.
+  using sparse_buckets = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+
+  void add(std::uint64_t v, std::uint64_t count = 1) {
+    const std::size_t i = index_of(v);
+    cover(i, i);
+    buckets_[i - first_] += count;
+    total_ += count;
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+    // 128-bit accumulation: v * count alone can exceed 2^64 for wide counts,
+    // and long runs of ns-scale values would silently wrap a 64-bit sum.
+    sum_ += static_cast<unsigned __int128>(v) * count;
   }
 
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double mean() const {
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-  }
-  [[nodiscard]] double min() const { return count_ ? min_seen_ : 0.0; }
-  [[nodiscard]] double max() const { return count_ ? max_seen_ : 0.0; }
-
-  /// Value at percentile `p` in [0,100]: the midpoint of the bucket holding
-  /// the p-th sample (clamped to the observed min/max, so percentile(0) and
-  /// percentile(100) are exact).
-  [[nodiscard]] double percentile(double p) const {
-    if (count_ == 0) return 0.0;
-    if (p <= 0.0) return min();
-    if (p >= 100.0) return max();
-    const double target = p / 100.0 * static_cast<double>(count_);
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      cum += buckets_[i];
-      if (static_cast<double>(cum) >= target) {
-        const double mid = (bucket_lo(i) + bucket_hi(i)) / 2.0;
-        if (mid < min_seen_) return min_seen_;
-        if (mid > max_seen_) return max_seen_;
-        return mid;
+  /// Bucket-wise sum; commutative and associative, so any merge tree over
+  /// the same per-shard histograms produces the same result.
+  void merge(const log_histogram& other) {
+    if (!other.buckets_.empty()) {
+      cover(other.first_, other.first_ + other.buckets_.size() - 1);
+      for (std::size_t k = 0; k < other.buckets_.size(); ++k) {
+        buckets_[other.first_ - first_ + k] += other.buckets_[k];
       }
     }
-    return max();
+    total_ += other.total_;
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
+    sum_ += other.sum_;
   }
 
+  /// Value at quantile q in [0, 1]: the inclusive upper bound of the bucket
+  /// holding the ceil(q * total)-th sample, clamped to the exact max (exact
+  /// for values below 2^sub_bits, within one sub-bucket above). Returns 0 on
+  /// an empty histogram.
+  [[nodiscard]] std::uint64_t quantile(double q) const {
+    if (total_ == 0) return 0;
+    q = std::clamp(q, 0.0, 1.0);
+    const auto rank = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total_))));
+    std::uint64_t seen = 0;
+    for (std::size_t k = 0; k < buckets_.size(); ++k) {
+      seen += buckets_[k];
+      if (seen >= rank) return std::min(bucket_hi(first_ + k), max_);
+    }
+    return max_;
+  }
+
+  [[nodiscard]] std::uint64_t p50() const { return quantile(0.50); }
+  [[nodiscard]] std::uint64_t p99() const { return quantile(0.99); }
+  [[nodiscard]] std::uint64_t p999() const { return quantile(0.999); }
+
+  [[nodiscard]] std::uint64_t count() const { return total_; }
+  [[nodiscard]] unsigned __int128 sum() const { return sum_; }
+  [[nodiscard]] std::uint64_t min() const { return total_ ? min_ : 0; }
+  [[nodiscard]] std::uint64_t max() const { return max_; }
+  [[nodiscard]] double mean() const {
+    return total_ ? static_cast<double>(sum_) / static_cast<double>(total_) : 0.0;
+  }
+
+  /// Buckets held in storage: lowest to highest index seen, inclusive.
   [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return buckets_[i]; }
 
-  /// Bucket geometry, exposed so a histogram can be reconstructed on the
-  /// other side of a wire (telemetry): construct with the same
-  /// (min_value, sub_per_octave, octaves) and restore() the state.
-  [[nodiscard]] double min_value() const { return min_value_; }
-  [[nodiscard]] unsigned sub_per_octave() const {
-    return static_cast<unsigned>(sub_);
-  }
-
-  /// Installs wire-transferred state verbatim (sparse non-zero buckets).
-  /// Geometry is NOT restored here — the receiver must have constructed this
-  /// histogram with the sender's min_value/sub_per_octave/bucket count for
-  /// percentiles to land in the same buckets. Out-of-range indices are
-  /// dropped rather than trusted (the wire is not an invariant).
-  void restore(std::uint64_t count, double sum, double mn, double mx,
-               const std::vector<std::pair<std::uint32_t, std::uint64_t>>& sparse) {
-    reset();
-    count_ = count;
-    sum_ = sum;
-    if (count > 0) {
-      min_seen_ = mn;
-      max_seen_ = mx;
+  /// The non-zero buckets, ascending by index (the wire form).
+  [[nodiscard]] sparse_buckets sparse() const {
+    sparse_buckets out;
+    for (std::size_t k = 0; k < buckets_.size(); ++k) {
+      if (buckets_[k] != 0) out.emplace_back(static_cast<std::uint32_t>(first_ + k), buckets_[k]);
     }
-    for (const auto& [i, n] : sparse) {
-      if (i < buckets_.size()) buckets_[i] += n;
+    return out;
+  }
+
+  /// Index of the bucket recording `v` — values below 2^sub_bits map 1:1;
+  /// above, the octave (msb - sub_bits) selects a block of 2^sub_bits
+  /// sub-buckets and the top sub_bits bits below the msb select within it.
+  [[nodiscard]] static constexpr std::size_t index_of(std::uint64_t v) {
+    if (v < (1ULL << sub_bits)) return static_cast<std::size_t>(v);
+    const unsigned msb = 63U - static_cast<unsigned>(std::countl_zero(v));
+    const unsigned shift = msb - sub_bits;
+    return static_cast<std::size_t>(((static_cast<std::uint64_t>(shift) + 1) << sub_bits) +
+                                    ((v >> shift) - (1ULL << sub_bits)));
+  }
+
+  /// Inclusive upper bound of bucket i (its largest representable value).
+  [[nodiscard]] static constexpr std::uint64_t bucket_hi(std::size_t i) {
+    if (i < (1ULL << sub_bits)) return i;
+    const std::uint64_t block = (i >> sub_bits) - 1;  // == shift
+    const std::uint64_t sub = (i & ((1ULL << sub_bits) - 1)) + (1ULL << sub_bits);
+    return ((sub + 1) << block) - 1;
+  }
+
+  /// Why `sparse` cannot be the bucket state of a histogram holding `count`
+  /// samples, or nullptr if it can: indices must lie below max_buckets and
+  /// be strictly ascending, and the bucket counts must sum to `count`.
+  [[nodiscard]] static const char* sparse_error(std::uint64_t count,
+                                                const sparse_buckets& sparse) {
+    std::uint64_t seen = 0;
+    for (std::size_t k = 0; k < sparse.size(); ++k) {
+      const auto [i, n] = sparse[k];
+      if (i >= max_buckets) return "bucket index out of range";
+      if (k > 0 && i <= sparse[k - 1].first) return "bucket indices not ascending";
+      if (n > std::numeric_limits<std::uint64_t>::max() - seen) {
+        return "bucket counts overflow";
+      }
+      seen += n;
     }
+    return seen == count ? nullptr : "bucket counts do not sum to count";
   }
 
-  /// Lower bound of bucket `i` (bucket 0 holds everything below min_value_).
-  [[nodiscard]] double bucket_lo(std::size_t i) const {
-    if (i == 0) return 0.0;
-    const std::size_t k = i - 1;
-    const auto octave = static_cast<double>(k / sub_);
-    const auto sub = static_cast<double>(k % sub_);
-    return min_value_ * pow2(octave) * (1.0 + sub / static_cast<double>(sub_));
-  }
-  [[nodiscard]] double bucket_hi(std::size_t i) const {
-    return i + 1 < buckets_.size() ? bucket_lo(i + 1)
-                                   : bucket_lo(i) * 2.0;  // open-ended top
-  }
-
-  /// Accumulates another histogram's samples (same geometry assumed; extra
-  /// buckets on either side are ignored). Lets per-place histograms merge
-  /// host-side in fixed place order, keeping sharded results deterministic.
-  void merge_from(const log_histogram& o) {
-    count_ += o.count_;
-    sum_ += o.sum_;
-    if (o.count_ > 0) {
-      if (o.min_seen_ < min_seen_) min_seen_ = o.min_seen_;
-      if (o.max_seen_ > max_seen_) max_seen_ = o.max_seen_;
-    }
-    const std::size_t n =
-        buckets_.size() < o.buckets_.size() ? buckets_.size() : o.buckets_.size();
-    for (std::size_t i = 0; i < n; ++i) buckets_[i] += o.buckets_[i];
+  /// Rebuilds a histogram from its parts (a telemetry snapshot). Throws
+  /// std::invalid_argument when sparse_error() rejects the buckets.
+  [[nodiscard]] static log_histogram restore(std::uint64_t count, unsigned __int128 sum,
+                                             std::uint64_t mn, std::uint64_t mx,
+                                             const sparse_buckets& sparse) {
+    if (const char* why = sparse_error(count, sparse)) throw std::invalid_argument(why);
+    log_histogram h;
+    if (!sparse.empty()) h.cover(sparse.front().first, sparse.back().first);
+    for (const auto& [i, n] : sparse) h.buckets_[i - h.first_] = n;
+    h.total_ = count;
+    h.sum_ = sum;
+    h.min_ = count ? mn : std::numeric_limits<std::uint64_t>::max();
+    h.max_ = mx;
+    return h;
   }
 
-  void reset() {
-    count_ = 0;
-    sum_ = 0.0;
-    min_seen_ = std::numeric_limits<double>::infinity();
-    max_seen_ = -std::numeric_limits<double>::infinity();
-    for (auto& b : buckets_) b = 0;
-  }
+  void reset() { *this = log_histogram{}; }
+
+  bool operator==(const log_histogram&) const = default;
 
  private:
-  [[nodiscard]] static double pow2(double e) {
-    double v = 1.0;
-    for (; e >= 1.0; e -= 1.0) v *= 2.0;
-    return v;
-  }
-
-  [[nodiscard]] std::size_t index_of(double x) const {
-    if (!(x >= min_value_)) return 0;  // below range (or NaN): underflow bucket
-    double lo = min_value_;
-    std::size_t octave = 0;
-    const std::size_t max_octave = (buckets_.size() - 1) / sub_;
-    while (x >= lo * 2.0 && octave + 1 < max_octave) {
-      lo *= 2.0;
-      ++octave;
+  /// Widens storage to span bucket indices [lo, hi] exactly.
+  void cover(std::size_t lo, std::size_t hi) {
+    const std::size_t end = first_ + buckets_.size();
+    if (lo >= first_ && hi < end) return;  // never true while empty
+    if (buckets_.empty()) {
+      buckets_.assign(hi - lo + 1, 0);
+      first_ = lo;
+      return;
     }
-    if (x >= lo * 2.0) return buckets_.size() - 1;  // overflow: top bucket
-    auto sub = static_cast<std::size_t>((x - lo) / lo * static_cast<double>(sub_));
-    if (sub >= sub_) sub = sub_ - 1;
-    return 1 + octave * sub_ + sub;
+    const std::size_t new_lo = std::min(lo, first_);
+    std::vector<std::uint64_t> grown(std::max(hi + 1, end) - new_lo, 0);
+    std::copy(buckets_.begin(), buckets_.end(), grown.begin() + (first_ - new_lo));
+    buckets_ = std::move(grown);
+    first_ = new_lo;
   }
 
-  double min_value_;
-  std::size_t sub_;
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t count_{0};
-  double sum_{0.0};
-  double min_seen_{std::numeric_limits<double>::infinity()};
-  double max_seen_{-std::numeric_limits<double>::infinity()};
+  std::vector<std::uint64_t> buckets_;  ///< buckets_[k] counts index first_ + k
+  std::size_t first_{0};
+  std::uint64_t total_{0};
+  std::uint64_t min_{std::numeric_limits<std::uint64_t>::max()};
+  std::uint64_t max_{0};
+  unsigned __int128 sum_{0};
 };
 
 }  // namespace adx::obs

@@ -27,12 +27,10 @@ std::string metrics::to_json() const {
   for (const auto& [name, h] : histograms_) {
     if (!first) os << ',';
     first = false;
-    os << json_str(name) << ":{\"count\":" << h.count()
-       << ",\"min\":" << json_num(h.min()) << ",\"max\":" << json_num(h.max())
-       << ",\"mean\":" << json_num(h.mean())
-       << ",\"p50\":" << json_num(h.percentile(50))
-       << ",\"p90\":" << json_num(h.percentile(90))
-       << ",\"p99\":" << json_num(h.percentile(99)) << '}';
+    os << json_str(name) << ":{\"count\":" << h.count() << ",\"min\":" << h.min()
+       << ",\"max\":" << h.max() << ",\"mean\":" << json_num(h.mean())
+       << ",\"p50\":" << h.p50() << ",\"p90\":" << h.quantile(0.90)
+       << ",\"p99\":" << h.p99() << '}';
   }
   os << "}}\n";
   return os.str();

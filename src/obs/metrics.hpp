@@ -1,7 +1,7 @@
 // Metrics registry: named counters, gauges and log-scaled histograms with a
 // JSON snapshot exporter.
 //
-// Names are dotted paths ("sim.remote_reads", "lock.qlock.wait_us"); the
+// Names are dotted paths ("sim.remote_reads", "lock.qlock.wait_ns"); the
 // registry stores them in sorted order so snapshots are deterministic.
 // Lookup creates on first use; holders may cache the returned reference —
 // entries are never removed and node-based map storage keeps them stable.
@@ -44,8 +44,8 @@ class metrics {
   [[nodiscard]] gauge& get_gauge(std::string_view name) {
     return gauges_[std::string(name)];
   }
-  /// Creates with default scaling when absent; use set_histogram to install
-  /// a pre-filled or custom-scaled one.
+  /// Creates an empty histogram when absent; use set_histogram to install a
+  /// pre-filled one.
   [[nodiscard]] log_histogram& get_histogram(std::string_view name) {
     auto it = histograms_.find(std::string(name));
     if (it == histograms_.end()) {

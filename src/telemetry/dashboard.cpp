@@ -7,14 +7,17 @@
 namespace adx::telemetry {
 namespace {
 
-std::string fmt_us(double us) {
+std::string fmt_ns(std::uint64_t ns) {
+  const auto v = static_cast<double>(ns);
   char buf[32];
-  if (us >= 1e6) {
-    std::snprintf(buf, sizeof buf, "%.2fs", us / 1e6);
-  } else if (us >= 1e3) {
-    std::snprintf(buf, sizeof buf, "%.2fms", us / 1e3);
+  if (v >= 1e9) {
+    std::snprintf(buf, sizeof buf, "%.2fs", v / 1e9);
+  } else if (v >= 1e6) {
+    std::snprintf(buf, sizeof buf, "%.2fms", v / 1e6);
+  } else if (v >= 1e3) {
+    std::snprintf(buf, sizeof buf, "%.1fus", v / 1e3);
   } else {
-    std::snprintf(buf, sizeof buf, "%.1fus", us);
+    std::snprintf(buf, sizeof buf, "%lluns", static_cast<unsigned long long>(ns));
   }
   return buf;
 }
@@ -94,8 +97,8 @@ std::string render_dashboard(const timeline::snapshot_data& snap,
     for (const auto* kv : rows) {
       const auto& h = kv->second;
       os << "  " << pad(kv->first, 40) << pad(std::to_string(h.count()), 10)
-         << pad(fmt_us(h.percentile(50.0)), 10) << pad(fmt_us(h.percentile(99.0)), 10)
-         << fmt_us(h.max()) << "\n";
+         << pad(fmt_ns(h.p50()), 10) << pad(fmt_ns(h.p99()), 10) << fmt_ns(h.max())
+         << "\n";
     }
   }
   return os.str();

@@ -214,13 +214,7 @@ timeline::snapshot_data timeline::snapshot() const {
 
     if (run.has_metrics) {
       for (const auto& h : run.latest_metrics.histograms) {
-        auto restored = restore_histogram(h);
-        auto it = out.merged_histograms.find(h.name);
-        if (it == out.merged_histograms.end()) {
-          out.merged_histograms.emplace(h.name, std::move(restored));
-        } else {
-          it->second.merge_from(restored);
-        }
+        out.merged_histograms[h.name].merge(restore_histogram(h));
       }
     }
   }

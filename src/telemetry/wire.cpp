@@ -33,6 +33,12 @@ struct cursor {
   std::string_view buf;
   std::size_t pos{0};
   bool ok{true};
+  const char* invalid{nullptr};  ///< set when a well-formed field is refused
+
+  void reject(const char* why) {
+    invalid = why;
+    ok = false;
+  }
 
   [[nodiscard]] bool have(std::size_t n) const { return ok && buf.size() - pos >= n; }
 
@@ -106,13 +112,11 @@ void encode_payload(std::string& out, const metrics_msg& m) {
   put_u32(out, static_cast<std::uint32_t>(m.histograms.size()));
   for (const auto& h : m.histograms) {
     put_str(out, h.name);
-    put_f64(out, h.min_value);
-    put_u32(out, h.sub_per_octave);
-    put_u32(out, h.bucket_count);
     put_u64(out, h.count);
-    put_f64(out, h.sum);
-    put_f64(out, h.min);
-    put_f64(out, h.max);
+    put_u64(out, h.sum_lo);
+    put_u64(out, h.sum_hi);
+    put_u64(out, h.min);
+    put_u64(out, h.max);
     put_u32(out, static_cast<std::uint32_t>(h.buckets.size()));
     for (const auto& [i, n] : h.buckets) {
       put_u32(out, i);
@@ -186,18 +190,20 @@ bool decode_body(cursor& c, metrics_msg& m) {
   for (std::uint32_t i = 0; i < nh && c.ok; ++i) {
     hist_snapshot h;
     h.name = c.str();
-    h.min_value = c.f64();
-    h.sub_per_octave = c.u32();
-    h.bucket_count = c.u32();
     h.count = c.u64();
-    h.sum = c.f64();
-    h.min = c.f64();
-    h.max = c.f64();
+    h.sum_lo = c.u64();
+    h.sum_hi = c.u64();
+    h.min = c.u64();
+    h.max = c.u64();
     const std::uint32_t nb = c.u32();
     for (std::uint32_t j = 0; j < nb && c.ok; ++j) {
       const std::uint32_t idx = c.u32();
       const std::uint64_t n = c.u64();
       h.buckets.emplace_back(idx, n);
+    }
+    if (!c.ok) break;
+    if (const char* why = obs::log_histogram::sparse_error(h.count, h.buckets)) {
+      c.reject(why);
     }
     m.histograms.push_back(std::move(h));
   }
@@ -241,7 +247,9 @@ bool decode_as(std::string_view payload, message& out, std::string* err,
   if (!decode_body(c, m)) {
     if (err != nullptr) {
       *err = std::string("malformed ") + what + " payload (" +
-             (c.ok ? "trailing bytes" : "truncated field") + ")";
+             (c.invalid != nullptr ? c.invalid
+                                   : c.ok ? "trailing bytes" : "truncated field") +
+             ")";
     }
     return false;
   }
@@ -354,32 +362,20 @@ metrics_msg snapshot_metrics(const obs::metrics& m, std::int64_t ts_ns) {
   for (const auto& [k, h] : m.histograms()) {
     hist_snapshot s;
     s.name = k;
-    s.min_value = h.min_value();
-    s.sub_per_octave = h.sub_per_octave();
-    s.bucket_count = static_cast<std::uint32_t>(h.bucket_count());
     s.count = h.count();
-    s.sum = h.sum();
+    s.sum_lo = static_cast<std::uint64_t>(h.sum());
+    s.sum_hi = static_cast<std::uint64_t>(h.sum() >> 64);
     s.min = h.min();
     s.max = h.max();
-    for (std::size_t i = 0; i < h.bucket_count(); ++i) {
-      if (h.bucket(i) != 0) {
-        s.buckets.emplace_back(static_cast<std::uint32_t>(i), h.bucket(i));
-      }
-    }
+    s.buckets = h.sparse();
     out.histograms.push_back(std::move(s));
   }
   return out;
 }
 
 obs::log_histogram restore_histogram(const hist_snapshot& h) {
-  const unsigned sub = h.sub_per_octave == 0 ? 1 : h.sub_per_octave;
-  // bucket_count = 1 + octaves * sub; recover the octave count (rounded up
-  // so a snapshot with a mismatched count never loses top buckets).
-  const unsigned octaves =
-      h.bucket_count > 1 ? (h.bucket_count - 1 + sub - 1) / sub : 1;
-  obs::log_histogram out(h.min_value, sub, octaves);
-  out.restore(h.count, h.sum, h.min, h.max, h.buckets);
-  return out;
+  const auto sum = (static_cast<unsigned __int128>(h.sum_hi) << 64) | h.sum_lo;
+  return obs::log_histogram::restore(h.count, sum, h.min, h.max, h.buckets);
 }
 
 std::optional<endpoint> parse_endpoint(std::string_view text, std::string* err) {

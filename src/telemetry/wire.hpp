@@ -12,8 +12,8 @@
 // Decoding is strict: a payload shorter than its fields, longer than its
 // fields (trailing garbage), larger than kMaxFrameBytes, or carrying an
 // unknown type is rejected — the connection/file is then poisoned rather
-// than guessed at. The protocol is versioned via hello_msg; a server may
-// accept any version whose frames it can decode (there is only v1 today).
+// than guessed at. The protocol is versioned via hello_msg; the timeline
+// refuses any version but kProtocolVersion.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,7 @@
 
 namespace adx::telemetry {
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 /// Upper bound on a single frame's payload; larger headers are a protocol
 /// error (a corrupt length would otherwise make the reader buffer garbage).
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 24;
@@ -76,19 +76,19 @@ struct trace_event_msg {
   bool operator==(const trace_event_msg&) const = default;
 };
 
-/// One log_histogram's state, sparse (non-zero buckets only). Geometry
-/// (min_value, sub_per_octave, bucket_count) rides along so the receiver
-/// reconstructs an identical histogram and merged percentiles are exact.
+/// One log_histogram's state: count, the 128-bit sum as two u64 halves,
+/// exact min/max, and the non-zero buckets in ascending index order. The
+/// bucket geometry is fixed, so the receiver rebuilds an identical histogram
+/// and merged quantiles are exact. The decoder rejects bucket lists that
+/// log_histogram::sparse_error() refuses.
 struct hist_snapshot {
   std::string name;
-  double min_value{1.0};
-  std::uint32_t sub_per_octave{8};
-  std::uint32_t bucket_count{0};
   std::uint64_t count{0};
-  double sum{0.0};
-  double min{0.0};
-  double max{0.0};
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;
+  std::uint64_t sum_lo{0};
+  std::uint64_t sum_hi{0};
+  std::uint64_t min{0};
+  std::uint64_t max{0};
+  obs::log_histogram::sparse_buckets buckets;
 
   bool operator==(const hist_snapshot&) const = default;
 };
@@ -189,8 +189,9 @@ class frame_reader {
 /// full bucket state) at virtual time `ts_ns`.
 [[nodiscard]] metrics_msg snapshot_metrics(const obs::metrics& m, std::int64_t ts_ns);
 
-/// Reconstructs a histogram from its wire snapshot (same geometry, same
-/// percentiles as the sender's).
+/// Reconstructs a histogram from its wire snapshot, bit-identical to the
+/// sender's. Throws std::invalid_argument on buckets the decoder would have
+/// rejected.
 [[nodiscard]] obs::log_histogram restore_histogram(const hist_snapshot& h);
 
 // ------- endpoints -------

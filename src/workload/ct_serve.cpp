@@ -21,7 +21,7 @@ struct group_state {
   std::uint64_t generated = 0;
   std::uint64_t served = 0;
   std::uint64_t remote_out = 0;
-  obs::log_histogram latency{0.001};  ///< arrival-to-completion, µs
+  obs::log_histogram latency;  ///< arrival-to-completion, ns
 };
 
 }  // namespace
@@ -117,7 +117,7 @@ ct_serve_result run_ct_serve(const ct_serve_config& cfg, exec::job_executor* ex)
             co_await ctx.compute(cfg.service);
             co_await lk[g]->unlock(ctx);
             ++gs.served;
-            gs.latency.add((ctx.now() - arrived).us());
+            gs.latency.add(static_cast<std::uint64_t>((ctx.now() - arrived).ns));
             continue;
           }
           if (gs.stop) co_return;
@@ -140,19 +140,19 @@ ct_serve_result run_ct_serve(const ct_serve_config& cfg, exec::job_executor* ex)
   ct_serve_result res;
   res.elapsed = run.end_time;
   res.completed = run.completed;
-  obs::log_histogram all{0.001};
+  obs::log_histogram all;
   for (unsigned g = 0; g < G; ++g) {
     res.generated += groups[g].generated;
     res.served += groups[g].served;
     res.remote_requests += groups[g].remote_out;
-    all.merge_from(groups[g].latency);
+    all.merge(groups[g].latency);
     res.acquisitions += lk[g]->stats().acquisitions();
     res.blocks += lk[g]->stats().blocks();
   }
-  res.latency_mean_us = all.mean();
-  res.latency_p50_us = all.percentile(50.0);
-  res.latency_p99_us = all.percentile(99.0);
-  res.latency_max_us = all.max();
+  res.latency_mean_us = all.mean() / 1e3;
+  res.latency_p50_us = static_cast<double>(all.p50()) / 1e3;
+  res.latency_p99_us = static_cast<double>(all.p99()) / 1e3;
+  res.latency_max_us = static_cast<double>(all.max()) / 1e3;
   res.latency = std::move(all);
   res.posts = fed.posts();
   res.domain = dom->stats();

@@ -69,10 +69,10 @@ struct ct_serve_result {
   double latency_p50_us{0.0};
   double latency_p99_us{0.0};
   double latency_max_us{0.0};
-  /// The full merged latency histogram the percentiles above were read from
-  /// (group-order merge; deterministic). Telemetry producers stream it so
-  /// the aggregation dashboard can compute exact fleet-wide percentiles.
-  obs::log_histogram latency{0.001};
+  /// The full merged latency histogram (ns) the percentiles above were read
+  /// from. Telemetry producers stream it so the aggregation dashboard can
+  /// compute exact fleet-wide percentiles.
+  obs::log_histogram latency;
   std::uint64_t acquisitions{0};
   std::uint64_t blocks{0};
   std::uint64_t posts{0};

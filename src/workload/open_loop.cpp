@@ -5,9 +5,9 @@
 #include <memory>
 #include <stdexcept>
 
+#include "obs/log_histogram.hpp"
 #include "sim/event_domain.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 
 namespace adx::workload {
 namespace {
@@ -35,7 +35,7 @@ struct lock_state {
 /// sequentially on the group's shard — the shard discipline TSan polices.
 struct group_state {
   std::vector<lock_state> locks;
-  sim::log_histogram latency;
+  obs::log_histogram latency;
   std::uint64_t completed = 0;
   std::uint64_t grants_spin = 0;
   std::uint64_t grants_block = 0;
@@ -79,7 +79,7 @@ class engine {
   open_loop_result run(exec::job_executor* ex) {
     dom_->run(ex);
     open_loop_result r;
-    sim::log_histogram merged;
+    obs::log_histogram merged;
     for (const auto& g : groups_) {
       merged.merge(g.latency);
       r.completed += g.completed;

@@ -6,7 +6,7 @@
 // serving systems. This family is open-loop: simulated client requests arrive
 // on a Poisson (optionally bursty) process whose rate does NOT depend on
 // completions, hit lock-guarded shared state, and report the latency
-// distribution (p50/p99/p999 via sim::log_histogram) per lock kind and
+// distribution (p50/p99/p999 via obs::log_histogram) per lock kind and
 // policy. Under bursts a spin lock's hot-spot tax compounds (deep queues slow
 // every critical section, which deepens the queue), a blocking lock pays a
 // fixed context-switch handoff, and an adaptive lock switches between them on

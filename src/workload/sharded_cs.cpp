@@ -28,7 +28,7 @@ struct group_state {
   std::uint64_t served = 0;
   std::uint64_t expected = 0;
   ct::thread_id server_tid = ct::invalid_thread;
-  obs::log_histogram rtt{0.001};  ///< echo round-trips, µs
+  obs::log_histogram rtt;  ///< echo round-trips, ns
 };
 
 }  // namespace
@@ -109,7 +109,7 @@ sharded_cs_result run_sharded_cs(const sharded_cs_config& cfg,
               }
             });
             co_await ctx.block();
-            groups[g].rtt.add((ctx.now() - t0).us());
+            groups[g].rtt.add(static_cast<std::uint64_t>((ctx.now() - t0).ns));
           }
           const auto think = sim::nanoseconds(static_cast<std::int64_t>(
               static_cast<double>(cfg.think_time.ns) * (*jit)[i]));
@@ -166,7 +166,7 @@ sharded_cs_result run_sharded_cs(const sharded_cs_config& cfg,
   res.elapsed = run.end_time;
   res.completed = run.completed;
   res.group_acquisitions.reserve(G);
-  obs::log_histogram rtt_all{0.001};
+  obs::log_histogram rtt_all;
   for (unsigned g = 0; g < G; ++g) {
     const auto& s = lk[g]->stats();
     res.group_acquisitions.push_back(s.acquisitions());
@@ -177,10 +177,10 @@ sharded_cs_result run_sharded_cs(const sharded_cs_config& cfg,
     res.policy_ticks += art[g]->ticks();
     res.policy_pumped += art[g]->pumped();
     res.echoes += groups[g].rtt.count();
-    rtt_all.merge_from(groups[g].rtt);
+    rtt_all.merge(groups[g].rtt);
   }
-  res.echo_rtt_mean_us = rtt_all.mean();
-  res.echo_rtt_p99_us = rtt_all.percentile(99.0);
+  res.echo_rtt_mean_us = rtt_all.mean() / 1e3;
+  res.echo_rtt_p99_us = static_cast<double>(rtt_all.p99()) / 1e3;
   res.posts = fed.posts();
   res.coord_reports = coord.reports();
   res.coord_demotions = coord.demotions_issued();

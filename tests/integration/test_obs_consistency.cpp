@@ -90,8 +90,8 @@ TEST(ObsConsistency, ExportedMetricsMirrorLockStats) {
   EXPECT_EQ(r.metrics.get_counter("lock.lk.releases").value(), r.releases);
   EXPECT_EQ(r.metrics.get_counter("lock.lk.contended").value(), r.contended);
   EXPECT_EQ(r.metrics.get_counter("lock.lk.blocks").value(), r.blocks);
-  EXPECT_EQ(r.metrics.get_histogram("lock.lk.wait_us").count(), r.acquisitions);
-  EXPECT_EQ(r.metrics.get_histogram("lock.lk.held_us").count(), r.releases);
+  EXPECT_EQ(r.metrics.get_histogram("lock.lk.wait_ns").count(), r.acquisitions);
+  EXPECT_EQ(r.metrics.get_histogram("lock.lk.held_ns").count(), r.releases);
   // Runtime scheduling counters land in the same registry.
   EXPECT_EQ(r.metrics.get_counter("ct.blocks").value(), r.rt_blocks);
   EXPECT_EQ(r.metrics.get_counter("ct.unblocks").value(), r.rt_unblocks);

@@ -55,125 +55,5 @@ TEST(Accumulator, ResetClears) {
   EXPECT_DOUBLE_EQ(a.mean(), 0.0);
 }
 
-TEST(Histogram, BucketsValues) {
-  histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.7);
-  h.add(9.99);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 2u);
-  EXPECT_EQ(h.bucket(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, OverflowUnderflow) {
-  histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(10.0);  // hi edge is exclusive
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, BucketLowerEdges) {
-  histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(4), 8.0);
-}
-
-TEST(Histogram, NonZeroOrigin) {
-  histogram h(100.0, 200.0, 4);
-  h.add(125.0);
-  h.add(199.0);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(3), 1u);
-}
-
-TEST(LogHistogram, EmptyQuantileIsZero) {
-  log_histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.quantile(0.5), 0u);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(LogHistogram, ExactBelowSubBucketRange) {
-  // With sub_bits = 5, values below 2^5 get one bucket each: quantiles in
-  // that range are exact, not approximations.
-  log_histogram h(5);
-  for (std::uint64_t v = 0; v < 32; ++v) {
-    EXPECT_EQ(h.index_of(v), v);
-    EXPECT_EQ(h.bucket_hi(v), v);
-    h.add(v);
-  }
-  EXPECT_EQ(h.quantile(0.5), 15u);
-  EXPECT_EQ(h.quantile(1.0), 31u);
-  EXPECT_EQ(h.max(), 31u);
-}
-
-TEST(LogHistogram, IndexAndBucketHiRoundTrip) {
-  log_histogram h(5);
-  for (const std::uint64_t v : {32ULL, 33ULL, 63ULL, 64ULL, 1000ULL, 65'535ULL,
-                                1ULL << 30, (1ULL << 40) + 12345ULL}) {
-    const auto i = h.index_of(v);
-    // v lands in bucket i: above the previous bucket's ceiling, at or below
-    // its own.
-    EXPECT_GE(h.bucket_hi(i), v) << v;
-    EXPECT_LT(h.bucket_hi(i - 1), v) << v;
-    // Log-linear error bound: the sub-bucket width is at most v / 2^sub_bits.
-    EXPECT_LE(h.bucket_hi(i) - v, v / 32) << v;
-  }
-}
-
-TEST(LogHistogram, QuantileClampsToObservedMax) {
-  log_histogram h;
-  h.add(1000);  // bucket ceiling is above 1000, but 1000 is the real max
-  EXPECT_EQ(h.quantile(0.5), 1000u);
-  EXPECT_EQ(h.quantile(1.0), 1000u);
-}
-
-TEST(LogHistogram, MergeMatchesSequentialAdds) {
-  log_histogram all, odd, even;
-  std::uint64_t x = 99;
-  for (int i = 0; i < 2000; ++i) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    const auto v = (x >> 33) % 1'000'000;
-    all.add(v);
-    (i % 2 ? odd : even).add(v);
-  }
-  even.merge(odd);
-  EXPECT_EQ(even.count(), all.count());
-  EXPECT_EQ(even.max(), all.max());
-  EXPECT_DOUBLE_EQ(even.mean(), all.mean());
-  for (const double q : {0.5, 0.9, 0.99, 0.999}) {
-    EXPECT_EQ(even.quantile(q), all.quantile(q)) << q;
-  }
-}
-
-TEST(LogHistogram, WeightedAddCountsEverySample) {
-  log_histogram h;
-  h.add(10, 7);
-  h.add(1'000'000, 3);
-  EXPECT_EQ(h.count(), 10u);
-  EXPECT_EQ(h.quantile(0.5), 10u);
-  EXPECT_GT(h.quantile(0.95), 900'000u);
-}
-
-TEST(LogHistogram, SumSurvivesPastUint64) {
-  // v * count alone exceeds 2^64 here; a 64-bit sum would wrap and report a
-  // tiny mean. The 128-bit accumulator keeps the mean exact.
-  log_histogram h;
-  const std::uint64_t v = 1ULL << 40;
-  h.add(v, 1ULL << 25);  // v * count == 2^65
-  EXPECT_DOUBLE_EQ(h.mean(), static_cast<double>(v));
-
-  log_histogram other;
-  other.add(v, 1ULL << 25);
-  h.merge(other);
-  EXPECT_DOUBLE_EQ(h.mean(), static_cast<double>(v));
-}
-
 }  // namespace
 }  // namespace adx::sim

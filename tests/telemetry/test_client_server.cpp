@@ -95,7 +95,7 @@ void publish_workload(client& c, int run_index) {
                             "spin-then-block(30)", "no-of-waiting-threads=2", 2});
   obs::metrics m;
   m.get_counter("runs").inc(static_cast<std::uint64_t>(run_index + 1));
-  m.get_histogram("wait_us").add(10.0 * (run_index + 1));
+  m.get_histogram("wait_ns").add(10'000 * static_cast<std::uint64_t>(run_index + 1));
   c.publish_metrics(m, 21'000 + run_index);
   c.publish_progress(20, 20, "done");
   c.publish_result("sweep", false, "");

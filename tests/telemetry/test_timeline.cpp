@@ -115,24 +115,23 @@ TEST(Timeline, MetricsLatestSnapshotWinsAndHistogramsMerge) {
   apply_ok(tl, s1, hello("r1"));
   apply_ok(tl, s2, hello("r2"));
 
-  const auto metrics_with = [](double value, std::uint64_t count) {
+  const auto metrics_with = [](std::uint64_t value, std::uint64_t count) {
     obs::metrics m;
-    auto& h = m.get_histogram("wait_us");
-    for (std::uint64_t i = 0; i < count; ++i) h.add(value);
+    m.get_histogram("wait_ns").add(value, count);
     return m;
   };
   // r1 publishes twice: the older snapshot must be superseded, not merged.
-  apply_ok(tl, s1, message{snapshot_metrics(metrics_with(10.0, 100), 1)});
-  apply_ok(tl, s1, message{snapshot_metrics(metrics_with(10.0, 3), 2)});
-  apply_ok(tl, s2, message{snapshot_metrics(metrics_with(1000.0, 3), 2)});
+  apply_ok(tl, s1, message{snapshot_metrics(metrics_with(10'000, 100), 1)});
+  apply_ok(tl, s1, message{snapshot_metrics(metrics_with(10'000, 3), 2)});
+  apply_ok(tl, s2, message{snapshot_metrics(metrics_with(1'000'000, 3), 2)});
 
   const auto snap = tl.snapshot();
-  ASSERT_EQ(snap.merged_histograms.count("wait_us"), 1u);
-  const auto& merged = snap.merged_histograms.at("wait_us");
+  ASSERT_EQ(snap.merged_histograms.count("wait_ns"), 1u);
+  const auto& merged = snap.merged_histograms.at("wait_ns");
   EXPECT_EQ(merged.count(), 6u);  // 3 from each run's LATEST snapshot
   // Half the samples at 10us, half at 1000us: p25 low, p99 high.
-  EXPECT_LT(merged.percentile(25.0), 20.0);
-  EXPECT_GT(merged.percentile(99.0), 500.0);
+  EXPECT_LT(merged.quantile(0.25), 20'000u);
+  EXPECT_GT(merged.quantile(0.99), 500'000u);
 }
 
 TEST(Timeline, RunAccountingAndStreamClose) {
@@ -196,8 +195,8 @@ TEST(Dashboard, RendersRunsOccupancyAndPercentiles) {
   apply_ok(tl, st, adapt("g1.lock", "blocking", 200));
   apply_ok(tl, st, message{progress_msg{1, 3, "adaptive"}});
   obs::metrics m;
-  auto& h = m.get_histogram("serve.adaptive.latency_us");
-  for (const double v : {10.0, 20.0, 30.0, 4000.0}) h.add(v);
+  auto& h = m.get_histogram("serve.adaptive.latency_ns");
+  for (const std::uint64_t v : {10'000, 20'000, 30'000, 4'000'000}) h.add(v);
   apply_ok(tl, st, message{snapshot_metrics(m, 300)});
 
   const auto text = render_dashboard(tl.snapshot());
@@ -207,8 +206,11 @@ TEST(Dashboard, RendersRunsOccupancyAndPercentiles) {
   EXPECT_NE(text.find("blocking=1"), std::string::npos);
   EXPECT_NE(text.find("pure-spin(400)=1"), std::string::npos);
   EXPECT_NE(text.find("1/3"), std::string::npos);
-  EXPECT_NE(text.find("serve.adaptive.latency_us"), std::string::npos);
+  EXPECT_NE(text.find("serve.adaptive.latency_ns"), std::string::npos);
   EXPECT_NE(text.find("p99"), std::string::npos);
+  // p50 reads back 20'000 ns as its bucket's upper bound, 20'479 ns.
+  EXPECT_NE(text.find("20.5us"), std::string::npos);
+  EXPECT_NE(text.find("4.00ms"), std::string::npos);  // p99 and max
   // No ANSI escapes unless color is requested.
   EXPECT_EQ(text.find('\x1b'), std::string::npos);
 }

@@ -6,6 +6,10 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+
+#include "sim/rng.hpp"
+#include "telemetry/timeline.hpp"
 
 namespace adx::telemetry {
 namespace {
@@ -48,14 +52,12 @@ metrics_msg sample_metrics() {
               {"weird", -0.0},
               {"tiny", std::numeric_limits<double>::denorm_min()}};
   hist_snapshot h;
-  h.name = "lock.wait_us";
-  h.min_value = 0.5;
-  h.sub_per_octave = 8;
-  h.bucket_count = 385;
+  h.name = "lock.wait_ns";
   h.count = 3;
-  h.sum = 17.25;
-  h.min = 1.5;
-  h.max = 12.0;
+  h.sum_lo = 0xFFFF'FFFF'FFFF'FFF0ULL;  // a sum past 2^64 keeps both halves
+  h.sum_hi = 1;
+  h.min = 5;
+  h.max = 40;
   h.buckets = {{5, 1}, {40, 2}};
   m.histograms.push_back(h);
   return m;
@@ -219,24 +221,79 @@ TEST(Wire, MetricsSnapshotAndHistogramRestore) {
   obs::metrics m;
   m.get_counter("a.count").inc(7);
   m.get_gauge("a.ratio").set(0.25);
-  auto& h = m.get_histogram("a.wait_us");
-  for (const double v : {1.0, 2.0, 4.0, 100.0, 5000.0}) h.add(v);
+  auto& h = m.get_histogram("a.wait_ns");
+  for (const std::uint64_t v : {1, 2, 4, 100, 5000}) h.add(v);
 
   const auto snap = snapshot_metrics(m, 777);
   EXPECT_EQ(snap.ts_ns, 777);
   ASSERT_EQ(snap.counters.size(), 1u);
   EXPECT_EQ(snap.counters[0].second, 7u);
   ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_TRUE(restore_histogram(snap.histograms[0]) == h);
 
-  // Reconstructed histogram answers every query the original does.
-  const auto back = restore_histogram(snap.histograms[0]);
-  EXPECT_EQ(back.count(), h.count());
-  EXPECT_DOUBLE_EQ(back.sum(), h.sum());
-  EXPECT_DOUBLE_EQ(back.min(), h.min());
-  EXPECT_DOUBLE_EQ(back.max(), h.max());
-  for (const double p : {0.0, 25.0, 50.0, 90.0, 99.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(back.percentile(p), h.percentile(p)) << "p" << p;
+  // Seeded random histograms (empty ones, weighted adds, sums past 2^64)
+  // survive snapshot -> encode -> decode -> restore bit for bit.
+  sim::rng r(2024);
+  for (int round = 0; round < 50; ++round) {
+    obs::metrics mr;
+    auto& hr = mr.get_histogram("h");
+    const auto n = r.below(5) == 0 ? 0 : r.below(200);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const auto shift = r.below(64);
+      hr.add(r() >> shift, 1 + r.below(1ULL << r.below(40)));
+    }
+    const auto out = std::get<metrics_msg>(roundtrip(message{snapshot_metrics(mr, round)}));
+    ASSERT_EQ(out.histograms.size(), 1u);
+    EXPECT_TRUE(restore_histogram(out.histograms[0]) == hr) << "round " << round;
   }
+}
+
+TEST(Wire, MalformedHistogramPoisonsReader) {
+  // One crafted frame per decode rule; each must poison the reader.
+  const auto crafted = [](obs::log_histogram::sparse_buckets buckets) {
+    metrics_msg m;
+    hist_snapshot h;
+    h.name = "bad";
+    for (const auto& [i, n] : buckets) h.count += n;
+    h.buckets = std::move(buckets);
+    m.histograms.push_back(h);
+    return m;
+  };
+  metrics_msg past_range = crafted({{3, 1}, {obs::log_histogram::max_buckets, 1}});
+  metrics_msg unsorted = crafted({{40, 1}, {5, 1}});
+  metrics_msg repeated = crafted({{5, 1}, {5, 1}});
+  metrics_msg miscounted = crafted({{5, 1}, {40, 2}});
+  miscounted.histograms[0].count = 4;
+  for (const auto& [m, why] : {std::pair{past_range, "out of range"},
+                               std::pair{unsorted, "not ascending"},
+                               std::pair{repeated, "not ascending"},
+                               std::pair{miscounted, "do not sum"}}) {
+    frame_reader r;
+    r.feed(encode_frame(message{m}));
+    message out;
+    EXPECT_EQ(r.next(out), frame_reader::status::error) << why;
+    EXPECT_NE(r.error_text().find(why), std::string::npos) << r.error_text();
+    r.feed(encode_frame(message{bye_msg{0}}));
+    EXPECT_EQ(r.next(out), frame_reader::status::error) << why;
+    EXPECT_THROW((void)restore_histogram(m.histograms[0]), std::invalid_argument) << why;
+  }
+  // The top valid index still decodes.
+  const metrics_msg top = crafted({{obs::log_histogram::max_buckets - 1, 1}});
+  EXPECT_EQ(roundtrip(message{top}), message{top});
+}
+
+TEST(Wire, VersionOneHelloRefused) {
+  // A v1 producer's hello still parses as a frame, but v1 metrics carried
+  // double histograms this decoder cannot read: the timeline refuses it.
+  frame_reader r;
+  r.feed(encode_frame(message{hello_msg{1, "old-run", "old-producer"}}));
+  message out;
+  ASSERT_EQ(r.next(out), frame_reader::status::ok);
+  timeline tl;
+  stream_state st;
+  std::string err;
+  EXPECT_FALSE(tl.apply(st, out, &err));
+  EXPECT_NE(err.find("unsupported protocol version 1"), std::string::npos) << err;
 }
 
 TEST(Wire, ParseEndpointForms) {
