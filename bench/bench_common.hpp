@@ -54,7 +54,7 @@ inline cli::options bench_options(char** argv, const char* summary) {
 inline cli::options bench_sweep_options(char** argv, const char* summary) {
   return bench_options(argv, summary)
       .u64("jobs", 0,
-           "parallel sweep workers (0 = one per host core); figures are "
+           "parallel sweep workers (0 = one per available CPU); figures are "
            "byte-identical for any value");
 }
 

@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
           .u64("processors", 4, "simulated processors (test machine shape)")
           .u64("iterations", 12, "critical sections per thread")
           .u64("jobs", 0,
-               "parallel run workers (0 = one per host core); output is "
+               "parallel run workers (0 = one per available CPU); output is "
                "byte-identical for any value")
           .str("config", "", "replay one run from a run_config JSON file ('-' = stdin)")
           .str("fixture", "", "fixture for --config replay (default mutex)")

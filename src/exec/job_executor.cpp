@@ -1,11 +1,39 @@
 #include "exec/job_executor.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <mutex>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 namespace adx::exec {
 
+namespace {
+
+/// Pause iterations a waiter spins before parking. At ~20 ns per `pause` on
+/// a current Xeon this is ~80 µs: dozens of sharded windows, yet well under
+/// a scheduler quantum.
+constexpr unsigned kSpinIterations = 4096;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
+
 unsigned default_jobs() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+#endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
@@ -32,7 +60,8 @@ struct job_executor::batch {
   std::size_t error_index{npos};
 };
 
-job_executor::job_executor(unsigned jobs) : jobs_(jobs == 0 ? default_jobs() : jobs) {
+job_executor::job_executor(unsigned jobs)
+    : jobs_(jobs == 0 ? default_jobs() : jobs), spin_(jobs_ <= default_jobs()) {
   workers_.reserve(jobs_ - 1);
   for (unsigned w = 1; w < jobs_; ++w) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -40,31 +69,34 @@ job_executor::job_executor(unsigned jobs) : jobs_(jobs == 0 ? default_jobs() : j
 }
 
 job_executor::~job_executor() {
-  {
-    const std::lock_guard<std::mutex> l(mu_);
-    shutdown_ = true;
-  }
-  wake_cv_.notify_all();
+  shutdown_ = true;
+  generation_.fetch_add(1);
+  generation_.notify_all();
   for (auto& t : workers_) t.join();
 }
 
+std::uint32_t job_executor::await_change(const std::atomic<std::uint32_t>& word,
+                                         std::uint32_t old) const {
+  if (spin_) {
+    for (unsigned i = 0; i < kSpinIterations; ++i) {
+      const std::uint32_t v = word.load(std::memory_order_acquire);
+      if (v != old) return v;
+      cpu_relax();
+    }
+  }
+  word.wait(old, std::memory_order_acquire);
+  return word.load(std::memory_order_acquire);
+}
+
 void job_executor::worker_loop() {
-  std::uint64_t seen = 0;
+  const std::uint32_t pool = jobs_ - 1;  // workers_ may still be growing
+  std::uint32_t seen = 0;
   for (;;) {
-    batch* b;
-    {
-      std::unique_lock<std::mutex> l(mu_);
-      wake_cv_.wait(l, [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = generation_;
-      b = current_;
-    }
-    work_on(*b);
-    {
-      const std::lock_guard<std::mutex> l(mu_);
-      ++finished_;
-    }
-    done_cv_.notify_all();
+    seen = await_change(generation_, seen);
+    if (shutdown_) return;
+    work_on(*current_);
+    // Only the last finisher can release a parked caller.
+    if (finished_.fetch_add(1) + 1 == pool) finished_.notify_one();
   }
 }
 
@@ -120,19 +152,18 @@ std::size_t job_executor::run_find(std::size_t count, std::size_t chunk,
   b.body = &body;
   b.count = count;
   b.chunk = std::max<std::size_t>(1, chunk);
-  {
-    const std::lock_guard<std::mutex> l(mu_);
-    current_ = &b;
-    finished_ = 0;
-    ++generation_;
-  }
-  wake_cv_.notify_all();
+  // Every pool worker finished the previous batch before run_find returned,
+  // so nobody reads current_ or writes finished_ until the bump below.
+  current_ = &b;
+  finished_.store(0, std::memory_order_relaxed);
+  generation_.fetch_add(1);
+  generation_.notify_all();
   work_on(b);  // the calling thread is worker 0
-  {
-    std::unique_lock<std::mutex> l(mu_);
-    done_cv_.wait(l, [&] { return finished_ == workers_.size(); });
-    current_ = nullptr;
+  const std::uint32_t pool = jobs_ - 1;
+  for (std::uint32_t f = finished_.load(std::memory_order_acquire); f != pool;
+       f = await_change(finished_, f)) {
   }
+  current_ = nullptr;
   if (b.error) std::rethrow_exception(b.error);
   return b.found.load(std::memory_order_acquire);
 }

@@ -27,14 +27,23 @@
 // Jobs must be independent: they may not touch shared mutable state without
 // their own synchronization (the simulator never needs any — machines are
 // instance-scoped by construction).
+//
+// Handoff (the paper's Fig. 1 rule applied to the host barrier): a batch is
+// published by bumping an atomic generation counter and joined by counting
+// finished pool workers on a second atomic. A waiter on either counter spins
+// a bounded number of `pause` iterations — a sharded DES window is about a
+// microsecond of work, far shorter than a futex sleep/wake round trip — then
+// parks on the counter (std::atomic::wait). Spinning only pays when every
+// worker has a CPU of its own, so an executor whose worker count exceeds the
+// process's CPU affinity mask parks at once: spinning there would burn the
+// very CPU the awaited worker needs.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <condition_variable>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -42,7 +51,9 @@
 
 namespace adx::exec {
 
-/// Worker count for `--jobs=0` / unspecified: one per host core, at least 1.
+/// Worker count for `--jobs=0` / unspecified: the number of CPUs in this
+/// process's affinity mask (so `taskset` and CPU-limited containers are
+/// honoured), at least 1.
 [[nodiscard]] unsigned default_jobs();
 
 /// Folds a `--jobs` flag value into a concrete worker count (0 = default).
@@ -62,8 +73,13 @@ class job_executor {
 
   [[nodiscard]] unsigned jobs() const { return jobs_; }
 
+  /// True when waiters spin before parking: the affinity mask held at least
+  /// jobs() CPUs when the executor was built.
+  [[nodiscard]] bool spins() const { return spin_; }
+
   /// Runs fn(i) for every i in [0, count). `chunk` is the claiming
   /// granularity (0 = automatic); it never affects observable results.
+  /// A single job (count == 1) runs inline on the caller, with no handoff.
   template <typename Fn>
   void for_each(std::size_t count, Fn&& fn, std::size_t chunk = 0) {
     (void)run_find(count, pick_chunk(count, chunk), [&fn](std::size_t i) {
@@ -113,17 +129,23 @@ class job_executor {
 
   void worker_loop();
   static void work_on(batch& b);
+  /// Returns `word`'s value once it differs from `old`: spins first when
+  /// spin_ is set, then parks on the word.
+  [[nodiscard]] std::uint32_t await_change(const std::atomic<std::uint32_t>& word,
+                                           std::uint32_t old) const;
 
   unsigned jobs_;
-  std::vector<std::thread> workers_;
+  bool spin_;
 
-  std::mutex mu_;
-  std::condition_variable wake_cv_;   ///< workers: a new batch or shutdown
-  std::condition_variable done_cv_;   ///< caller: all workers left the batch
+  // current_ and shutdown_ are plain fields: written only before a
+  // generation_ bump and read only after a worker observes that bump.
   batch* current_{nullptr};
-  std::uint64_t generation_{0};
-  unsigned finished_{0};  ///< pool workers done with the current batch
   bool shutdown_{false};
+  // On separate cache lines: workers spin on generation_ while the caller
+  // spins on finished_.
+  alignas(64) std::atomic<std::uint32_t> generation_{0};  ///< bumped per batch and at shutdown
+  alignas(64) std::atomic<std::uint32_t> finished_{0};    ///< pool workers done with the batch
+  std::vector<std::thread> workers_;  ///< last: the threads use every member above
 };
 
 }  // namespace adx::exec

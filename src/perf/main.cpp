@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
           .u64("reps", 5, "measured repetitions per scenario")
           .u64("warmup", 1, "discarded warmup repetitions per scenario")
           .u64("jobs", 1,
-               "parallel scenario workers (0 = one per host core); reps stay "
+               "parallel scenario workers (0 = one per available CPU); reps stay "
                "sequential within a scenario, virtual metrics are identical "
                "for any value, wall metrics get noisier — keep 1 when "
                "recording a baseline")

@@ -36,8 +36,17 @@ bool sharded_event_queue::window(exec::job_executor* ex) {
   for (std::uint64_t k = 1; k <= w; ++k) {
     const vtime until{(tmin + lookahead_ * static_cast<std::int64_t>(k)).ns - 1};
     if (ex != nullptr) {
-      ex->for_each(shards_.size(),
-                   [&](std::size_t i) { shards_[i].q.run_until(until); });
+      // Fan out only the shards with an event inside the horizon: an idle
+      // shard's run_until is a no-op, and no shard can schedule onto another
+      // mid-window (sends wait in outboxes), so the set is fixed up front. A
+      // lone busy shard runs inline: for_each never hands off one job.
+      active_.clear();
+      for (std::size_t i = 0; i < shards_.size(); ++i) {
+        const auto& q = shards_[i].q;
+        if (!q.empty() && q.next_at() <= until) active_.push_back(i);
+      }
+      ex->for_each(active_.size(),
+                   [&](std::size_t i) { shards_[active_[i]].q.run_until(until); });
     } else {
       for (auto& s : shards_) s.q.run_until(until);
     }

@@ -173,6 +173,7 @@ class sharded_event_queue {
 
   std::vector<shard> shards_;
   std::vector<pending_send> merge_;  ///< barrier scratch, reused every window
+  std::vector<std::size_t> active_;  ///< shards with work this sub-segment
   vdur lookahead_;
   std::uint64_t windows_{0};
   std::uint64_t cross_sends_{0};

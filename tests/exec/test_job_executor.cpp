@@ -1,14 +1,21 @@
 // Unit tests for the parallel sweep executor: the determinism contract
 // (results collected by index, identical for any worker count), the
-// find_first ordering guarantees, and exception propagation.
+// find_first ordering guarantees, exception propagation, and the
+// spin-then-park handoff under stress.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "exec/job_executor.hpp"
 
@@ -21,6 +28,31 @@ TEST(JobExecutor, DefaultJobsIsAtLeastOne) {
   EXPECT_EQ(resolve_jobs(3), 3u);
   EXPECT_EQ(resolve_jobs(1u << 20), 512u) << "worker count must be clamped";
 }
+
+#ifdef __linux__
+TEST(JobExecutor, DefaultJobsIsTheAffinityCpuCount) {
+  cpu_set_t all;
+  CPU_ZERO(&all);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(all), &all), 0);
+  EXPECT_EQ(default_jobs(), static_cast<unsigned>(CPU_COUNT(&all)));
+  EXPECT_TRUE(job_executor(default_jobs()).spins());
+
+  // Pinned to one CPU (what `taskset -c 0` does to a whole process), the
+  // default is one worker and a two-worker executor parks instead of
+  // spinning.
+  int first = 0;
+  while (!CPU_ISSET(first, &all)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const unsigned pinned = default_jobs();
+  const bool pinned_spins = job_executor(2).spins();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(all), &all), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_FALSE(pinned_spins);
+}
+#endif
 
 TEST(JobExecutor, ReportsItsWorkerCount) {
   job_executor one(1);
@@ -156,6 +188,73 @@ TEST(JobExecutor, SequentialExceptionIsTheFirstThrow) {
     EXPECT_STREQ(e.what(), "boom at 9");
   }
   EXPECT_EQ(last, 9u);
+}
+
+// --- Handoff stress: the generation/finished counters and parking. --------
+
+/// Longer than any spin budget, so every pool worker is parked afterwards.
+constexpr auto kPastSpinBudget = std::chrono::milliseconds(50);
+
+TEST(JobExecutorHandoff, BackToBackTinyBatchesRunEachIndexOnce) {
+  // A lost wakeup hangs; a stale or repeated generation runs an index twice
+  // or not at all, which the per-index stamp catches in the next batch.
+  constexpr std::uint32_t kBatches = 100'000;
+  for (const unsigned jobs : {2u, 4u, 8u}) {
+    job_executor ex(jobs);
+    const std::size_t n = jobs + 1;
+    std::vector<std::atomic<std::uint32_t>> stamp(n);
+    std::atomic<std::uint32_t> bad{0};
+    for (std::uint32_t b = 1; b <= kBatches; ++b) {
+      ex.for_each(n, [&](std::size_t i) {
+        if (stamp[i].exchange(b, std::memory_order_relaxed) != b - 1) ++bad;
+      });
+    }
+    EXPECT_EQ(bad.load(), 0u) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(stamp[i].load(), kBatches) << "jobs=" << jobs << " i=" << i;
+    }
+  }
+}
+
+TEST(JobExecutorHandoff, DestroyRightAfterConstruction) {
+  for (const unsigned jobs : {2u, 4u, 8u}) {
+    for (int round = 0; round < 50; ++round) {
+      const job_executor ex(jobs);
+    }
+  }
+}
+
+TEST(JobExecutorHandoff, DestroyWithParkedWorkers) {
+  for (const unsigned jobs : {2u, 4u, 8u}) {
+    job_executor ex(jobs);
+    EXPECT_EQ(ex.map(jobs, [](std::size_t i) { return i; }).size(), jobs);
+    std::this_thread::sleep_for(kPastSpinBudget);
+  }
+}
+
+TEST(JobExecutorHandoff, PoolWorkerExceptionAfterParkedHandoff) {
+  for (const unsigned jobs : {2u, 4u, 8u}) {
+    job_executor ex(jobs);
+    std::this_thread::sleep_for(kPastSpinBudget);
+    // The caller holds its first index until a pool worker has thrown, so
+    // the exception must come from a parked-then-woken worker.
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> thrown{false};
+    try {
+      ex.for_each(jobs, [&](std::size_t i) {
+        if (std::this_thread::get_id() != caller) {
+          thrown = true;
+          throw std::runtime_error("pool worker at " + std::to_string(i));
+        }
+        while (!thrown) std::this_thread::yield();
+      }, 1);
+      FAIL() << "expected a throw (jobs=" << jobs << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).substr(0, 15), "pool worker at ") << "jobs=" << jobs;
+    }
+    std::this_thread::sleep_for(kPastSpinBudget);
+    EXPECT_EQ(ex.find_first(10, [](std::size_t i) { return i == 6; }), 6u) << "jobs=" << jobs;
+  }
 }
 
 }  // namespace

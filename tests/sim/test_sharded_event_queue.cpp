@@ -105,10 +105,13 @@ struct run_result {
 class driver {
  public:
   // shard_count == 0 runs the reference model: every stream on one plain
-  // event_queue, messages scheduled directly at their delivery time.
-  driver(unsigned shard_count, unsigned events_per_stream) : shards_(shard_count) {
+  // event_queue, messages scheduled directly at their delivery time. Only
+  // the first `live` streams run local events; the rest stay idle and only
+  // receive messages, so their shards are busy in few windows.
+  driver(unsigned shard_count, unsigned events_per_stream, unsigned live = kStreams)
+      : shards_(shard_count) {
     if (shards_ > 0) shq_ = std::make_unique<sharded_event_queue>(shards_, kLookahead);
-    for (unsigned s = 0; s < kStreams; ++s) {
+    for (unsigned s = 0; s < live; ++s) {
       st_[s].x = 0x9E3779B97F4A7C15ULL * (s + 1);
       st_[s].remaining = events_per_stream;
       schedule_local(s, vtime{s});
@@ -218,6 +221,32 @@ TEST(ShardedEventQueue, ParallelExecutionMatchesSequential) {
   EXPECT_EQ(par.cross_sends, seq.cross_sends);
   for (unsigned s = 0; s < kStreams; ++s) {
     EXPECT_EQ(par.trace[s], seq.trace[s]) << "stream=" << s;
+  }
+}
+
+TEST(ShardedEventQueue, IdleShardsSkippedWithoutChangingResults) {
+  // One live stream (one busy shard per window, run inline) and three live
+  // streams (a strict subset of the shards fans out); every message may
+  // target an idle shard, which then runs only that delivery.
+  constexpr unsigned kEvents = 300;
+  for (const unsigned live : {1u, 3u}) {
+    const auto ref = driver(0, kEvents, live).run();
+    std::uint64_t idle_deliveries = 0;
+    for (unsigned s = live; s < kStreams; ++s) idle_deliveries += ref.trace[s].size();
+    ASSERT_GT(idle_deliveries, 0u) << "live=" << live;
+
+    const auto seq = driver(8, kEvents, live).run();
+    for (const unsigned workers : {1u, 2u, 8u}) {
+      exec::job_executor ex(workers);
+      const auto par = driver(8, kEvents, live).run(&ex);
+      EXPECT_EQ(par.processed, ref.processed) << "live=" << live << " workers=" << workers;
+      EXPECT_EQ(par.windows, seq.windows) << "live=" << live << " workers=" << workers;
+      EXPECT_EQ(par.cross_sends, seq.cross_sends) << "live=" << live << " workers=" << workers;
+      for (unsigned s = 0; s < kStreams; ++s) {
+        EXPECT_EQ(par.trace[s], ref.trace[s])
+            << "live=" << live << " workers=" << workers << " stream=" << s;
+      }
+    }
   }
 }
 
