@@ -43,7 +43,10 @@ class machine {
   vtime access(node_id from, node_id home, access_kind kind);
 
   /// Issues `n` back-to-back accesses (e.g. copying a multi-word record);
-  /// returns the completion time of the last.
+  /// returns the completion time of the last (now() when n == 0, with no
+  /// ledger change). Priced in O(1) — exactly as n calls of access() — unless
+  /// a perturber is attached or the access crosses the butterfly network,
+  /// where each access is priced on its own.
   vtime access_n(node_id from, node_id home, access_kind kind, std::uint64_t n);
 
   [[nodiscard]] const access_counts& counts() const { return counts_; }
@@ -67,6 +70,7 @@ class machine {
 
  private:
   void init();
+  vtime price(node_id from, node_id home, access_kind kind, std::uint64_t n);
 
   machine_config cfg_;
   std::unique_ptr<event_queue> owned_events_;  ///< null when borrowing

@@ -54,11 +54,21 @@ class memory_module {
 
   /// Services an access arriving at `arrival` taking `service` module time;
   /// returns the completion time at the module.
-  vtime service(vtime arrival, vdur service_time) {
+  vtime service(vtime arrival, vdur service_time) { return service_n(arrival, service_time, 1); }
+
+  /// Services `n` accesses that all arrive at `arrival` (n >= 1). FIFO
+  /// service runs them back to back from `start`, so access i waits
+  /// start - arrival + i * service: the closed form below is bit-identical to
+  /// n calls of service(). Returns the completion time of the last.
+  vtime service_n(vtime arrival, vdur service_time, std::uint64_t n) {
     const vtime start = max(arrival, busy_until_);
-    busy_until_ = start + service_time;
-    ++serviced_;
-    total_queue_delay_ += start - arrival;
+    const auto k = static_cast<std::int64_t>(n);
+    busy_until_ = start + service_time * k;
+    serviced_ += n;
+    // sum_{i<n} i = n(n-1)/2; halving the even factor first keeps the
+    // product inside int64 wherever the result itself fits.
+    const std::int64_t pairs = n % 2 == 0 ? (k / 2) * (k - 1) : k * ((k - 1) / 2);
+    total_queue_delay_ += (start - arrival) * k + service_time * pairs;
     return busy_until_;
   }
 

@@ -1,7 +1,6 @@
 #include "tsp/lmsk.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <queue>
 
@@ -107,18 +106,20 @@ lmsk::branch_pick lmsk::choose_branch(const subproblem& sp) {
 }
 
 void lmsk::forbid_subtour_arc(subproblem& child) {
-  // Maps over committed arcs. The chain containing the newest arc runs from
-  // some start city s (no incoming committed arc) to some end city e (no
-  // outgoing committed arc); arc (e, s) would close a premature subtour.
-  std::map<std::int16_t, std::int16_t> next, prev;
+  // Successor/predecessor of each city over committed arcs (-1: none). The
+  // chain containing the newest arc runs from some start city s (no incoming
+  // committed arc) to some end city e (no outgoing committed arc); arc (e, s)
+  // would close a premature subtour.
+  const int n = inst_->n();
+  std::vector<std::int16_t> next(n, -1), prev(n, -1);
   for (const auto& e : child.edges) {
     next[e[0]] = e[1];
     prev[e[1]] = e[0];
   }
   std::int16_t s = child.edges.back()[0];
-  while (prev.count(s)) s = prev[s];
+  while (prev[s] != -1) s = prev[s];
   std::int16_t e = child.edges.back()[1];
-  while (next.count(e)) e = next[e];
+  while (next[e] != -1) e = next[e];
 
   const auto ri = std::find(child.rows.begin(), child.rows.end(), e);
   const auto cj = std::find(child.cols.begin(), child.cols.end(), s);

@@ -142,6 +142,39 @@ TEST(Lmsk, SequentialDeterministic) {
   EXPECT_EQ(a.best.order, b.best.order);
 }
 
+// Exact results of the sequential solver, pinned so a change to the engine's
+// internals (subtour bookkeeping, reduction, branching) cannot silently move
+// the search: cost, expansion count and op count must all stay put.
+struct pinned_case {
+  int n;
+  std::uint64_t seed;
+  std::int64_t cost;
+  std::uint64_t expansions;
+  std::uint64_t ops;
+};
+
+class LmskPinned : public testing::TestWithParam<pinned_case> {};
+
+TEST_P(LmskPinned, SequentialResultUnchanged) {
+  const auto& p = GetParam();
+  const auto r = solve_sequential(instance::random_asymmetric(p.n, p.seed));
+  EXPECT_EQ(r.best.cost, p.cost);
+  EXPECT_EQ(r.expansions, p.expansions);
+  EXPECT_EQ(r.ops, p.ops);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomAsymmetric, LmskPinned,
+                         testing::Values(pinned_case{16, 9001, 183, 135, 110215},
+                                         pinned_case{16, 1234, 203, 64, 66216},
+                                         pinned_case{16, 777, 146, 41, 38879},
+                                         pinned_case{20, 9001, 154, 77, 120265},
+                                         pinned_case{20, 1234, 210, 142, 166412},
+                                         pinned_case{20, 777, 153, 132, 179858}),
+                         [](const testing::TestParamInfo<pinned_case>& info) {
+                           return "n" + std::to_string(info.param.n) + "_s" +
+                                  std::to_string(info.param.seed);
+                         });
+
 TEST(Lmsk, OptimalNeverWorseThanGreedyUpperBound) {
   const auto inst = instance::random_asymmetric(18, 99);
   // Greedy nearest-neighbour tour as an upper bound.
