@@ -1,13 +1,14 @@
-// Open-loop serving with real ct server threads on the fat_tree_hpc4096
-// preset: 64 NUMA groups x 64 nodes, one federated ct runtime per group on
-// the sharded execution domain.
+// Open-loop serving with real ct server threads on a sharded execution
+// domain: by default the fat_tree_hpc4096 preset (64 NUMA groups x 64
+// nodes), or a hierarchical NUMA machine with --groups/--group_nodes.
 //
-// Unlike bench_serve_openloop (which models grant physics on an event-driven
-// lock), every request here is served by an actual coroutine thread that
-// acquires its group's place-bound lock, pays the full dispatch/context-
-// switch physics, and parks in a FIFO when its mailbox is empty. Remote
-// arrivals ship through federation::post() and arrive one lookahead later —
-// the canonical cross-group transit on the biggest machine the repo models.
+// Every request is served by an actual coroutine thread that acquires its
+// group's place-bound lock, pays the full dispatch/context-switch physics,
+// and parks in a FIFO when its mailbox is empty. Remote arrivals ship
+// through federation::post() and arrive one lookahead later, the canonical
+// cross-group transit. --burst_mult turns the Poisson arrivals into a square
+// wave (that many times the rate in every other 30 ms period), the bursty
+// load of the EXPERIMENTS.md tail-latency tables.
 //
 // Virtual-time results are bit-identical for every --shards and --jobs
 // value; those knobs only change wall-clock cost.
@@ -31,6 +32,8 @@ int main(int argc, char** argv) {
           .u64("interarrival_us", 80, "mean interarrival time per group (us)")
           .u64("remote_pct", 25, "percent of arrivals that target another group")
           .u64("service_us", 25, "lock-guarded service demand (us)")
+          .u64("burst_mult", 1,
+               "arrival-rate multiplier in every other 30 ms period (1 = no bursts)")
           .u64("shards", 8, "DES shards (virtual results identical for any value)")
           .u64("seed", 42, "run seed (arrival processes + domain streams)")
           .flag("adaptive-lookahead",
@@ -68,6 +71,7 @@ int main(int argc, char** argv) {
   base.mean_interarrival_us = static_cast<double>(opt.get_u64("interarrival_us"));
   base.remote_fraction = static_cast<double>(opt.get_u64("remote_pct")) / 100.0;
   base.service = sim::microseconds(static_cast<double>(opt.get_u64("service_us")));
+  base.burst_mult = static_cast<double>(opt.get_u64("burst_mult"));
   base.seed = opt.get_u64("seed");
   base.shards = bench::shards_from(opt);
   base.adaptive_lookahead = opt.get_flag("adaptive-lookahead");
@@ -84,23 +88,20 @@ int main(int argc, char** argv) {
                base.shards, ex.jobs(),
                base.adaptive_lookahead ? ", adaptive lookahead" : "");
 
-  std::printf("Open-loop ct serving: request latency by lock kind (us)\n"
-              "(%u groups x %u nodes, %u server threads/group, %llu requests/"
-              "group, mean interarrival %.0fus, service %.0fus, %.0f%% remote)\n\n",
-              base.machine.groups(), base.machine.group_size,
-              base.servers_per_group,
-              static_cast<unsigned long long>(base.requests_per_group),
-              base.mean_interarrival_us, base.service.us(),
-              100.0 * base.remote_fraction);
-
   table t({"lock", "p50", "p99", "max", "served", "remote", "acquisitions",
-           "posts", "elapsed-ms"});
+           "blocks", "posts", "elapsed-ms"});
   std::uint64_t kinds_done = 0;
   obs::metrics m;  // cumulative across kinds: snapshots are latest-wins
   for (const auto kind : kinds) {
     auto cfg = base;
     cfg.kind = kind;
-    const auto r = run_ct_serve(cfg, &ex);
+    workload::ct_serve_result r;
+    try {
+      r = run_ct_serve(cfg, &ex);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
+    }
     if (tele) {
       const std::string prefix = std::string("serve.") + locks::to_string(kind);
       m.get_counter(prefix + ".served").set(r.served);
@@ -126,9 +127,21 @@ int main(int argc, char** argv) {
            table::num(static_cast<double>(r.served), 0),
            table::num(static_cast<double>(r.remote_requests), 0),
            table::num(static_cast<double>(r.acquisitions), 0),
+           table::num(static_cast<double>(r.blocks), 0),
            table::num(static_cast<double>(r.posts), 0),
            table::num(r.elapsed.ms(), 3)});
   }
+  std::printf("Open-loop ct serving: request latency by lock kind (us)\n"
+              "(%u groups x %u nodes, %u server threads/group, %llu requests/"
+              "group, mean interarrival %.0fus%s, service %.0fus, %.0f%% remote)\n\n",
+              base.machine.groups(), base.machine.group_size,
+              base.servers_per_group,
+              static_cast<unsigned long long>(base.requests_per_group),
+              base.mean_interarrival_us,
+              base.burst_mult == 1.0
+                  ? ""
+                  : bench::strf(" (/%.0f in every other 30ms)", base.burst_mult).c_str(),
+              base.service.us(), 100.0 * base.remote_fraction);
   t.print();
 
   std::printf("\n(open loop with real server threads: remote arrivals pay one "

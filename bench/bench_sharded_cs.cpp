@@ -60,21 +60,18 @@ int main(int argc, char** argv) {
                base.shards, ex.jobs(),
                base.adaptive_lookahead ? ", adaptive lookahead" : "");
 
-  std::printf("Federated ct critical-section sweep (virtual time)\n"
-              "(%u groups x %u nodes, %u client threads/group, %llu iterations, "
-              "CS %.0fus, echo every %llu)\n\n",
-              base.machine.groups(), base.machine.group_size,
-              base.threads_per_group,
-              static_cast<unsigned long long>(base.iterations),
-              base.cs_length.us(),
-              static_cast<unsigned long long>(base.remote_every));
-
   table t({"lock", "elapsed-ms", "acquisitions", "blocks", "echoes",
            "echo-p99-us", "posts"});
   for (const auto kind : kinds) {
     auto cfg = base;
     cfg.kind = kind;
-    const auto r = run_sharded_cs(cfg, &ex);
+    workload::sharded_cs_result r;
+    try {
+      r = run_sharded_cs(cfg, &ex);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
+    }
     if (!r.completed) {
       std::fprintf(stderr, "lock %s: run hit the event budget\n",
                    locks::to_string(kind));
@@ -87,6 +84,14 @@ int main(int argc, char** argv) {
            table::num(r.echo_rtt_p99_us, 2),
            table::num(static_cast<double>(r.posts), 0)});
   }
+  std::printf("Federated ct critical-section sweep (virtual time)\n"
+              "(%u groups x %u nodes, %u client threads/group, %llu iterations, "
+              "CS %.0fus, echo every %llu)\n\n",
+              base.machine.groups(), base.machine.group_size,
+              base.threads_per_group,
+              static_cast<unsigned long long>(base.iterations),
+              base.cs_length.us(),
+              static_cast<unsigned long long>(base.remote_every));
   t.print();
 
   std::printf("\n(every cross-group influence — echo requests, replies, lock "

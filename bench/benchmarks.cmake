@@ -48,9 +48,6 @@ adx_bench(bench_abl_coupling)
 adx_bench(bench_abl_async_policy)
 target_link_libraries(bench_abl_async_policy PRIVATE adx_policy)
 
-# Open-loop serving on the sharded DES (tail latency per lock kind).
-adx_bench(bench_serve_openloop)
-
 # Federated ct workloads on the execution domain (real threads, one runtime
 # per NUMA group, cross-shard traffic through federation::post).
 adx_bench(bench_sharded_cs)

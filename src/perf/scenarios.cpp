@@ -27,7 +27,6 @@
 #include "tsp/parallel.hpp"
 #include "workload/cs_workload.hpp"
 #include "workload/ct_serve.hpp"
-#include "workload/open_loop.hpp"
 #include "workload/sharded_cs.hpp"
 
 namespace adx::perf {
@@ -189,110 +188,91 @@ scenario_result run_sharded_queue_churn() {
 }
 
 // ---------------------------------------------------------------------------
-// Open-loop serving: tail latency per lock kind under light and bursty load
-// (src/workload/open_loop). Light load rewards the spin handoff; the bursty
-// phase drives queue depths where the spin hot-spot tax compounds and only
-// blocking handoffs drain — adaptive must track the winner on both. All
-// latency quantiles are virtual-clock and gated exactly.
+// Tail latency under open-loop load, served by real ct server threads
+// (src/workload/ct_serve) on each group's place-bound spin, blocking or
+// adaptive lock with default params. Light load is plain Poisson; the bursty
+// load multiplies the arrival rate by 8 in every other 30 ms period. All
+// latency quantiles and block counts are virtual-clock and gated exactly.
 // ---------------------------------------------------------------------------
 
-workload::open_loop_config serve_base() {
-  workload::open_loop_config c;
-  c.machine = sim::machine_config::hierarchical_numa(8, 8);
-  c.shards = 4;
-  c.locks_per_group = 1;
-  c.requests_per_group = 1500;
-  c.mean_interarrival_us = 600;
-  c.mean_service_us = 40;
-  c.remote_ratio = 0.10;
-  c.params.adapt.waiting_threshold = 16;
-  return c;
+const struct {
+  const char* tag;
+  locks::lock_kind kind;
+} kSpinBlockAdaptive[] = {{"spin", locks::lock_kind::spin},
+                          {"blocking", locks::lock_kind::blocking},
+                          {"adaptive", locks::lock_kind::adaptive}};
+
+void push_tail(scenario_result& r, const std::string& p,
+               const workload::ct_serve_result& res) {
+  r.metrics.push_back({p + "_p50_us", "us", kVirtual, res.latency_p50_us});
+  r.metrics.push_back({p + "_p99_us", "us", kVirtual, res.latency_p99_us});
+  r.metrics.push_back({p + "_max_us", "us", kVirtual, res.latency_max_us});
+  r.metrics.push_back({p + "_blocks", "count", kVirtual,
+                       static_cast<double>(res.blocks)});
 }
 
-scenario_result run_serve_openloop() {
+scenario_result run_serve_ct_bursty() {
   const struct {
     const char* tag;
-    bool bursty;
-  } loads[] = {{"light", false}, {"bursty", true}};
-  const struct {
-    const char* tag;
-    locks::lock_kind kind;
-  } kinds[] = {{"spin", locks::lock_kind::spin},
-               {"blocking", locks::lock_kind::blocking},
-               {"adaptive", locks::lock_kind::adaptive}};
+    double burst_mult;
+  } loads[] = {{"light", 1}, {"bursty", 8}};
   scenario_result r;
-  double total_requests = 0;
+  double total_served = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (const auto& load : loads) {
-    for (const auto& k : kinds) {
-      auto cfg = serve_base();
+    for (const auto& k : kSpinBlockAdaptive) {
+      workload::ct_serve_config cfg;
+      cfg.machine = sim::machine_config::hierarchical_numa(8, 8);
+      cfg.servers_per_group = 8;  // one per node: lock queues can pass 4
+      cfg.requests_per_group = 1500;
+      cfg.mean_interarrival_us = 600;
+      cfg.burst_mult = load.burst_mult;
+      cfg.service = sim::microseconds(40);
+      cfg.remote_fraction = 0.10;
       cfg.kind = k.kind;
-      cfg.bursty = load.bursty;
-      cfg.burst_mult = 8;
-      cfg.burst_period_us = 30'000;
-      const auto res = run_open_loop(cfg);
-      total_requests += static_cast<double>(res.completed);
-      const std::string p = std::string(load.tag) + '_' + k.tag;
-      r.metrics.push_back({p + "_p50_us", "us", kVirtual,
-                           static_cast<double>(res.p50_ns) / 1e3});
-      r.metrics.push_back({p + "_p99_us", "us", kVirtual,
-                           static_cast<double>(res.p99_ns) / 1e3});
-      r.metrics.push_back({p + "_p999_us", "us", kVirtual,
-                           static_cast<double>(res.p999_ns) / 1e3});
+      cfg.shards = 4;
+      const auto res = run_ct_serve(cfg);
+      total_served += static_cast<double>(res.served);
+      push_tail(r, std::string(load.tag) + '_' + k.tag, res);
     }
   }
   const double wall_s = wall_seconds_since(t0);
-  r.metrics.push_back({"requests_per_sec", "req/s", kWall, total_requests / wall_s,
+  r.metrics.push_back({"requests_per_sec", "req/s", kWall, total_served / wall_s,
                        /*higher_better=*/true});
   return r;
 }
 
-// ---------------------------------------------------------------------------
 // The 1000+-node end-to-end: the hierarchical_numa() preset (1024 nodes, 32
-// groups) serving bursty open-loop traffic on 8 DES shards, all three
-// handoff disciplines. Virtual quantiles gate exactly; the wall rate rides
-// the IQR band.
-// ---------------------------------------------------------------------------
-
-scenario_result run_serve_tail_1024() {
-  const struct {
-    const char* tag;
-    locks::lock_kind kind;
-  } kinds[] = {{"spin", locks::lock_kind::spin},
-               {"blocking", locks::lock_kind::blocking},
-               {"adaptive", locks::lock_kind::adaptive}};
+// groups) serving the bursty load on 8 DES shards.
+scenario_result run_serve_ct_tail_1024() {
   scenario_result r;
-  double total_requests = 0;
+  double total_served = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& k : kinds) {
-    auto cfg = serve_base();
+  for (const auto& k : kSpinBlockAdaptive) {
+    workload::ct_serve_config cfg;
     cfg.machine = sim::machine_config::hierarchical_numa();  // 32x32 = 1024 nodes
-    cfg.shards = 8;
+    cfg.servers_per_group = 32;
     cfg.requests_per_group = 400;
-    cfg.kind = k.kind;
-    cfg.bursty = true;
+    cfg.mean_interarrival_us = 600;
     cfg.burst_mult = 8;
-    cfg.burst_period_us = 30'000;
-    const auto res = run_open_loop(cfg);
-    total_requests += static_cast<double>(res.completed);
-    const std::string p = std::string("n1024_") + k.tag;
-    r.metrics.push_back({p + "_p50_us", "us", kVirtual,
-                         static_cast<double>(res.p50_ns) / 1e3});
-    r.metrics.push_back({p + "_p99_us", "us", kVirtual,
-                         static_cast<double>(res.p99_ns) / 1e3});
-    r.metrics.push_back({p + "_p999_us", "us", kVirtual,
-                         static_cast<double>(res.p999_ns) / 1e3});
+    cfg.service = sim::microseconds(40);
+    cfg.remote_fraction = 0.10;
+    cfg.kind = k.kind;
+    cfg.shards = 8;
+    const auto res = run_ct_serve(cfg);
+    total_served += static_cast<double>(res.served);
+    push_tail(r, std::string("n1024_") + k.tag, res);
     if (k.kind == locks::lock_kind::adaptive) {
-      r.metrics.push_back({"n1024_completed", "count", kVirtual,
-                           static_cast<double>(res.completed)});
+      r.metrics.push_back({"n1024_served", "count", kVirtual,
+                           static_cast<double>(res.served)});
       r.metrics.push_back({"n1024_windows", "count", kVirtual,
-                           static_cast<double>(res.windows)});
+                           static_cast<double>(res.domain.windows)});
       r.metrics.push_back({"n1024_cross_sends", "count", kVirtual,
-                           static_cast<double>(res.cross_sends)});
+                           static_cast<double>(res.domain.cross_sends)});
     }
   }
   const double wall_s = wall_seconds_since(t0);
-  r.metrics.push_back({"requests_per_sec", "req/s", kWall, total_requests / wall_s,
+  r.metrics.push_back({"requests_per_sec", "req/s", kWall, total_served / wall_s,
                        /*higher_better=*/true});
   return r;
 }
@@ -307,17 +287,11 @@ scenario_result run_serve_tail_1024() {
 // ---------------------------------------------------------------------------
 
 scenario_result run_ct_sharded_cs() {
-  const struct {
-    const char* tag;
-    locks::lock_kind kind;
-  } kinds[] = {{"spin", locks::lock_kind::spin},
-               {"blocking", locks::lock_kind::blocking},
-               {"adaptive", locks::lock_kind::adaptive}};
   scenario_result r;
   double total_acquisitions = 0;
   const auto t0 = std::chrono::steady_clock::now();
   exec::job_executor ex(4);
-  for (const auto& k : kinds) {
+  for (const auto& k : kSpinBlockAdaptive) {
     workload::sharded_cs_config cfg;
     cfg.machine = sim::machine_config::hierarchical_numa(4, 6);
     cfg.threads_per_group = 4;
@@ -356,17 +330,11 @@ scenario_result run_ct_sharded_cs() {
 // ---------------------------------------------------------------------------
 
 scenario_result run_serve_ct_fat4096() {
-  const struct {
-    const char* tag;
-    locks::lock_kind kind;
-  } kinds[] = {{"spin", locks::lock_kind::spin},
-               {"blocking", locks::lock_kind::blocking},
-               {"adaptive", locks::lock_kind::adaptive}};
   scenario_result r;
   double total_served = 0;
   const auto t0 = std::chrono::steady_clock::now();
   exec::job_executor ex(4);
-  for (const auto& k : kinds) {
+  for (const auto& k : kSpinBlockAdaptive) {
     workload::ct_serve_config cfg;
     cfg.machine = sim::machine_config::fat_tree_hpc4096();
     cfg.servers_per_group = 2;
@@ -1063,12 +1031,12 @@ std::vector<scenario> make_registry() {
   add("sim_sharded_queue_churn",
       "sharded event-queue stress: 8 shards, windowed lookahead, horizon sends",
       run_sharded_queue_churn);
-  add("bench_serve_openloop",
-      "open-loop serving: tail latency per lock kind, light + bursty load",
-      run_serve_openloop);
-  add("bench_serve_tail_1024",
-      "open-loop serving on the 1024-node hierarchical preset, 8 DES shards",
-      run_serve_tail_1024);
+  add("bench_serve_ct_bursty",
+      "ct serving on real locks: tail latency per lock kind, light + bursty load",
+      run_serve_ct_bursty);
+  add("bench_serve_ct_tail_1024",
+      "bursty ct serving on the 1024-node hierarchical preset, 8 DES shards",
+      run_serve_ct_tail_1024);
   add("bench_sharded_cs",
       "federated ct CS sweep: real threads, cross-shard echoes, 4 shards",
       run_ct_sharded_cs);

@@ -103,7 +103,7 @@ struct machine_config {
 
   /// Fat-tree-style HPC machine: 4096 nodes in 64-node groups with fast
   /// local silicon and a relatively long backbone — the stress preset for
-  /// the open-loop serving scenarios.
+  /// open-loop serving with real ct threads (bench_serve_ct).
   [[nodiscard]] static machine_config fat_tree_hpc4096();
 };
 

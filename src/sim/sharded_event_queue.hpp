@@ -29,7 +29,7 @@
 //     invariant under re-sharding the same logical streams.
 //   * Workloads must be shard-disciplined: an event may touch only state
 //     owned by its shard's node group. The TSan CI job runs the stress tests
-//     and a sharded open-loop sweep to police this claim.
+//     and the federated ct workloads (ShardedCt*) to police this claim.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "workload/ct_serve.hpp"
 
+#include <cmath>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -12,6 +13,10 @@
 namespace adx::workload {
 
 namespace {
+
+/// Length of one burst half-wave: arrivals run at burst_mult times the rate
+/// in every even period and at the base rate in every odd one.
+constexpr sim::vdur kBurstPeriod = sim::milliseconds(30);
 
 /// Per-group native state; touched only by events on the group's own shard.
 struct group_state {
@@ -33,6 +38,17 @@ ct_serve_result run_ct_serve(const ct_serve_config& cfg, exec::job_executor* ex)
   if (cfg.machine.wire_model == sim::interconnect_model::butterfly) {
     throw std::invalid_argument("ct_serve: butterfly model cannot federate");
   }
+  if (!(cfg.burst_mult >= 1.0) || !std::isfinite(cfg.burst_mult)) {
+    throw std::invalid_argument("ct_serve: burst_mult must be finite and >= 1");
+  }
+
+  // Mean interarrival for a gap drawn at `now`. Without bursts the mean is
+  // used as is, so plain Poisson runs keep their exact draws.
+  const auto mean_gap = [&cfg](sim::vtime now) {
+    if (cfg.burst_mult == 1.0) return cfg.mean_interarrival_us;
+    const bool burst = (now.ns / static_cast<std::uint64_t>(kBurstPeriod.ns)) % 2 == 0;
+    return burst ? cfg.mean_interarrival_us / cfg.burst_mult : cfg.mean_interarrival_us;
+  };
 
   auto dom = sim::make_event_domain(
       cfg.machine, {.shards = cfg.shards,
@@ -94,7 +110,7 @@ ct_serve_result run_ct_serve(const ct_serve_config& cfg, exec::job_executor* ex)
       } else {
         deliver(g);
       }
-      const double dt = rs.exponential(cfg.mean_interarrival_us);
+      const double dt = rs.exponential(mean_gap(q.now()));
       q.schedule_at(q.now() + sim::microseconds(dt < 0.01 ? 0.01 : dt),
                     [&chain, g] { chain[g](); });
     };
@@ -129,7 +145,7 @@ ct_serve_result run_ct_serve(const ct_serve_config& cfg, exec::job_executor* ex)
 
     // Kick the arrival chain: the first gap is drawn host-side in group
     // order from the group's own stream (the chain continues it in-shard).
-    const double dt0 = dom->stream(g).exponential(cfg.mean_interarrival_us);
+    const double dt0 = dom->stream(g).exponential(mean_gap(sim::vtime{}));
     dom->queue_of(g).schedule_at(
         sim::vtime{} + sim::microseconds(dt0 < 0.01 ? 0.01 : dt0),
         [&chain, g] { chain[g](); });

@@ -1,15 +1,16 @@
 // Open-loop request serving on the federated thread package — real ct
-// server threads on a sharded execution domain (the fat_tree_hpc4096
-// scenario's engine).
+// server threads on a sharded execution domain (the engine of the serving
+// scenarios: light/bursty, 1024-node and fat_tree_hpc4096).
 //
 // Each NUMA group runs an open-loop Poisson arrival process on its own
-// shard, drawn from the domain's per-place rng stream: an arrival is either
-// local (delivered directly to the group's mailbox) or remote (shipped to
-// another group through federation::post, arriving one lookahead later —
-// the canonical cross-group transit). A pool of server threads per group
-// pops requests, acquires the group's place-bound lock, performs the
-// service, and records the arrival-to-completion latency. Parked servers
-// wait in a FIFO and are woken one per delivery.
+// shard, drawn from the domain's per-place rng stream (optionally a square
+// wave: `burst_mult` times the rate in every other 30 ms period): an
+// arrival is either local (delivered directly to the group's mailbox) or
+// remote (shipped to another group through federation::post, arriving one
+// lookahead later — the canonical cross-group transit). A pool of server
+// threads per group pops requests, acquires the group's place-bound lock,
+// performs the service, and records the arrival-to-completion latency.
+// Parked servers wait in a FIFO and are woken one per delivery.
 //
 // Shutdown is a two-phase message protocol with a time-ordering proof:
 // every group posts source-done to the hub after its last arrival (time
@@ -41,6 +42,10 @@ struct ct_serve_config {
   unsigned servers_per_group = 2;
   std::uint64_t requests_per_group = 200;
   double mean_interarrival_us = 60.0;
+  /// Square-wave bursts: in every even 30 ms period (counted from virtual
+  /// time 0) the mean interarrival is divided by this. 1 = plain Poisson;
+  /// must be finite and >= 1.
+  double burst_mult = 1.0;
   /// Fraction of a group's arrivals that target another group.
   double remote_fraction = 0.2;
   /// Lock-guarded service demand per request.
@@ -80,6 +85,8 @@ struct ct_serve_result {
   double throughput{0.0};
 };
 
+/// Throws std::invalid_argument on a bad config (no servers, a butterfly
+/// machine, zero shards, or a burst_mult below 1 or not finite).
 [[nodiscard]] ct_serve_result run_ct_serve(const ct_serve_config& cfg,
                                            exec::job_executor* ex = nullptr);
 

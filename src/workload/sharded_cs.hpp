@@ -1,6 +1,6 @@
 // Partitioned critical-section workload on the federated thread package —
 // the fig1-style sweep, scaled out across execution-domain shards with REAL
-// ct threads (not the event-driven lock model of open_loop).
+// ct threads and real place-bound locks.
 //
 // Each NUMA group runs its own closed-loop cs_workload community: a group-
 // local lock (bound to its place), `threads_per_group` client threads, an

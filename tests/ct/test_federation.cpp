@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ct/context.hpp"
+#include "exec/job_executor.hpp"
 #include "locks/factory.hpp"
 #include "sim/event_domain.hpp"
 
@@ -104,20 +105,33 @@ TEST(Federation, PostUnblockLandsExactlyAtTheLookaheadHorizon) {
 }
 
 TEST(Federation, CrossPlaceLockOperationThrows) {
-  const auto cfg = fed_machine(2, 4);
-  auto dom = sim::make_event_domain(cfg);
-  federation fed(cfg, *dom);
-
-  auto lk = locks::make_lock(locks::lock_kind::spin, 0,
-                             locks::lock_cost_model::butterfly_cthreads(), {});
-  lk->bind_place(0);
+  const auto cfg = fed_machine(4, 4);
 
   // A group-1 thread touching a place-0 lock violates the shard discipline.
-  fed.fork(4, [&lk](context& ctx) -> task<void> {
-    co_await lk->lock(ctx);
-    co_await lk->unlock(ctx);
-  });
-  EXPECT_THROW(fed.run_all(), std::logic_error);
+  // The error must surface from run_all whether it is raised inline or on a
+  // pool worker: the other groups keep busy so windows fan out.
+  for (unsigned shards : {1u, 2u, 4u}) {
+    for (unsigned jobs : {1u, 2u, 4u}) {
+      auto dom = sim::make_event_domain(cfg, {.shards = shards});
+      federation fed(cfg, *dom);
+      auto lk = locks::make_lock(locks::lock_kind::spin, 0,
+                                 locks::lock_cost_model::butterfly_cthreads(), {});
+      lk->bind_place(0);
+      for (const sim::node_id node : {0u, 8u, 12u}) {
+        fed.fork(node, [](context& ctx) -> task<void> {
+          for (int i = 0; i < 4; ++i) co_await ctx.compute(sim::microseconds(50));
+        });
+      }
+      fed.fork(4, [&lk](context& ctx) -> task<void> {
+        co_await ctx.compute(sim::microseconds(50));
+        co_await lk->lock(ctx);
+        co_await lk->unlock(ctx);
+      });
+      exec::job_executor ex(jobs);
+      EXPECT_THROW(fed.run_all(jobs > 1 ? &ex : nullptr), std::logic_error)
+          << "shards=" << shards << " jobs=" << jobs;
+    }
+  }
 
   // The same lock is fine from its own place.
   auto dom2 = sim::make_event_domain(cfg);

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exec/job_executor.hpp"
@@ -129,6 +131,27 @@ TEST(EventDomain, PingPongBitIdenticalAcrossShardAndWorkerCounts) {
       EXPECT_EQ(got.stats, ref.stats) << "shards=" << shards;
     }
   }
+}
+
+TEST(EventDomain, RunRethrowsACallbackErrorFromAPoolWorker) {
+  auto dom = make_event_domain(four_groups(), {.shards = 4});
+  exec::job_executor ex(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> worker_threw{false};
+  // One event per shard in the same window, so the window fans out. The
+  // calling thread takes part as worker 0; it holds its job until a pool
+  // worker has thrown, so the error under test really crosses threads.
+  for (unsigned p = 0; p < dom->places(); ++p) {
+    dom->queue_of(p).schedule_at(vtime{10}, [&] {
+      if (std::this_thread::get_id() != caller) {
+        worker_threw = true;
+        throw std::runtime_error("event callback failed");
+      }
+      while (!worker_threw) std::this_thread::yield();
+    });
+  }
+  EXPECT_THROW(dom->run(&ex), std::runtime_error);
+  EXPECT_TRUE(worker_threw);
 }
 
 TEST(EventDomain, AdaptiveMatchesNonAdaptiveForHorizonSends) {

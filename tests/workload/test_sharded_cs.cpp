@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "exec/job_executor.hpp"
@@ -137,6 +140,16 @@ ct_serve_config small_serve(unsigned shards) {
   return cfg;
 }
 
+/// small_serve with the square-wave burst on, long enough to cross burst
+/// periods: ~400 arrivals per group in the 8x first 30 ms, then the base rate.
+ct_serve_config bursty_serve(unsigned shards) {
+  auto cfg = small_serve(shards);
+  cfg.requests_per_group = 500;
+  cfg.mean_interarrival_us = 600.0;
+  cfg.burst_mult = 8.0;
+  return cfg;
+}
+
 struct serve_signature {
   sim::vtime elapsed{};
   std::uint64_t served{};
@@ -150,9 +163,10 @@ struct serve_signature {
   friend bool operator==(const serve_signature&, const serve_signature&) = default;
 };
 
-serve_signature run_serve(unsigned shards, unsigned workers) {
+serve_signature run_serve(ct_serve_config (*make)(unsigned), unsigned shards,
+                          unsigned workers) {
   exec::job_executor ex(workers);
-  const auto r = run_ct_serve(small_serve(shards), workers > 1 ? &ex : nullptr);
+  const auto r = run_ct_serve(make(shards), workers > 1 ? &ex : nullptr);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.served, r.generated);
   return {r.elapsed,        r.served, r.remote_requests, r.latency_p50_us,
@@ -170,12 +184,53 @@ TEST(ShardedCtServe, ServesEveryRequestAndShutsDown) {
 }
 
 TEST(ShardedCtServe, BitIdenticalAcrossShardAndWorkerCounts) {
-  const auto ref = run_serve(1, 1);
-  for (unsigned shards : {2u, 3u, 8u}) {
-    for (unsigned workers : {1u, 8u}) {
-      EXPECT_EQ(run_serve(shards, workers), ref)
-          << "shards=" << shards << " workers=" << workers;
+  for (const auto make : {small_serve, bursty_serve}) {
+    const auto ref = run_serve(make, 1, 1);
+    for (unsigned shards : {2u, 3u, 8u}) {
+      for (unsigned workers : {1u, 8u}) {
+        EXPECT_EQ(run_serve(make, shards, workers), ref)
+            << "burst_mult=" << make(1).burst_mult << " shards=" << shards
+            << " workers=" << workers;
+      }
     }
+  }
+}
+
+TEST(ShardedCtServe, RemoteTrafficIsOnePostEach) {
+  // Besides remote arrivals, only the shutdown protocol posts: one
+  // source-done per group to the hub and one stop per group back.
+  auto cfg = small_serve(1);
+  const std::uint64_t G = cfg.machine.groups();
+  cfg.remote_fraction = 0.0;
+  auto r = run_ct_serve(cfg);
+  EXPECT_EQ(r.remote_requests, 0u);
+  EXPECT_EQ(r.posts, 2 * G);
+
+  cfg.remote_fraction = 0.5;
+  r = run_ct_serve(cfg);
+  EXPECT_GT(r.remote_requests, 0u);
+  EXPECT_EQ(r.posts, r.remote_requests + 2 * G);
+}
+
+TEST(ShardedCtServe, BurstsRaiseEveryTail) {
+  for (const auto kind :
+       {locks::lock_kind::spin, locks::lock_kind::blocking, locks::lock_kind::adaptive}) {
+    auto cfg = bursty_serve(1);
+    cfg.kind = kind;
+    const auto bursty = run_ct_serve(cfg);
+    cfg.burst_mult = 1.0;
+    const auto light = run_ct_serve(cfg);
+    EXPECT_EQ(bursty.served, bursty.generated) << locks::to_string(kind);
+    EXPECT_EQ(light.served, light.generated) << locks::to_string(kind);
+    EXPECT_GT(bursty.latency_p99_us, light.latency_p99_us) << locks::to_string(kind);
+  }
+}
+
+TEST(ShardedCtServe, RejectsBadBurstMult) {
+  for (const double m : {0.5, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    auto cfg = small_serve(1);
+    cfg.burst_mult = m;
+    EXPECT_THROW((void)run_ct_serve(cfg), std::invalid_argument) << m;
   }
 }
 
