@@ -111,6 +111,9 @@ class event_domain final {
   [[nodiscard]] bool empty() const { return q_.empty(); }
   [[nodiscard]] std::uint64_t processed() const { return q_.processed(); }
   [[nodiscard]] domain_stats stats() const;
+  /// Windows forked onto the executor's workers. Host-only — it follows
+  /// measured wall costs — so it is kept out of the compared domain_stats.
+  [[nodiscard]] std::uint64_t forked_windows() const { return q_.forked_windows(); }
 
  private:
   [[nodiscard]] unsigned shard_of(unsigned place) const {

@@ -61,6 +61,29 @@ std::size_t event_queue::slab_free() const {
   return n;
 }
 
+std::size_t event_queue::due_by(vtime until, std::size_t cap) const {
+  // Depth-first over the 4-ary heap, pushing only due children: each pop is
+  // one due event, so the walk stops after min(due, cap) pops. Each level
+  // leaves at most 3 siblings on the stack, and a heap that fits in memory
+  // is under 32 levels deep, so the fixed stack cannot overflow.
+  if (cap == 0 || heap_.empty() || heap_[0].at > until) return 0;
+  std::size_t stack[4 * 64];
+  std::size_t top = 0;
+  stack[top++] = 0;
+  std::size_t due = 0;
+  while (top > 0 && due < cap) {
+    const std::size_t i = stack[--top];
+    ++due;
+    const std::size_t first = 4 * i + 1;
+    const std::size_t end = first + 4 < heap_.size() ? first + 4 : heap_.size();
+    for (std::size_t c = first; c < end; ++c) {
+      stack[top] = c;
+      top += heap_[c].at <= until ? 1 : 0;
+    }
+  }
+  return due;
+}
+
 bool event_queue::run_one() {
   if (heap_.empty()) return false;
   debug_pop_delay();

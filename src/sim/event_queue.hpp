@@ -79,6 +79,11 @@ class event_queue {
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t processed() const { return processed_; }
 
+  /// Pending events with timestamp <= `until`, counted up to `cap`: returns
+  /// min(due, cap). A pruned walk of the heap — a node past `until` has no
+  /// due descendants — so it costs O(min(due, cap)), not O(pending()).
+  [[nodiscard]] std::size_t due_by(vtime until, std::size_t cap) const;
+
   /// Runs the earliest event; returns false if the queue was empty.
   bool run_one();
 

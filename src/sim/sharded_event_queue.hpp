@@ -30,6 +30,23 @@
 //   * Workloads must be shard-disciplined: an event may touch only state
 //     owned by its shard's node group. The TSan CI job runs the stress tests
 //     and the federated ct workloads (ShardedCt*) to police this claim.
+//
+// Inline-then-fork (the paper's combined lock, applied to the window
+// barrier): forking a window onto workers pays only when its events
+// outweigh the handoff, as spinning pays only while it is cheaper than a
+// context switch. With an executor attached, a window whose busy shards
+// could overlap on p = min(busy shards, jobs()) workers forks only when the
+// events due at its start number at least
+//
+//     crossover = fork overhead / (cost per due event * (1 - 1/p))
+//
+// and otherwise the caller runs the busy shards inline, in shard order. The
+// cost is per *due* event because that is what can be counted up front,
+// and one due event may spawn a chain of further events in its window.
+// Both costs are running means of host time the queue measures around the
+// sub-segments it runs, so the choice has no knob — and since which thread
+// runs a shard's events never changes what they compute, it is invisible
+// to every virtual result.
 #pragma once
 
 #include <cstdint>
@@ -115,6 +132,11 @@ class sharded_event_queue {
   /// barriers — is shard-invariant too. `ex` may be null (sequential).
   std::uint64_t run_budgeted(exec::job_executor* ex, std::uint64_t max_events);
 
+  /// Sub-segments forked onto the executor's workers (one per window unless
+  /// adaptive lookahead widens it). Host-only: it follows measured wall
+  /// costs, so unlike windows() it differs between runs and hosts.
+  [[nodiscard]] std::uint64_t forked_windows() const { return forks_; }
+
   /// Rounds that ran with a widened (> 1 sub-segment) horizon.
   [[nodiscard]] std::uint64_t widened_windows() const { return widened_windows_; }
   /// Largest widen factor any round actually used.
@@ -165,15 +187,25 @@ class sharded_event_queue {
     event_queue q;
     std::vector<pending_send> outbox;  ///< written only by the shard's worker
   };
+  /// One forked job's due events and the host ns it took to run them;
+  /// aligned because each is written by the worker that ran the job.
+  struct alignas(64) job_cost {
+    std::size_t due{0};
+    double ns{0};
+  };
 
   /// One synchronization round; returns false when fully drained.
   bool window(exec::job_executor* ex);
+  /// Runs the shards in active_ up to `until`: inline, or forked on `ex`
+  /// when the due events pay for the fork.
+  void run_active(exec::job_executor& ex, vtime until);
   /// Flushes all outboxes in (at, origin) order; returns deliveries made.
   std::uint64_t deliver_outboxes();
 
   std::vector<shard> shards_;
   std::vector<pending_send> merge_;  ///< barrier scratch, reused every window
   std::vector<std::size_t> active_;  ///< shards with work this sub-segment
+  std::vector<job_cost> job_costs_;  ///< per active shard, last forked sub-segment
   vdur lookahead_;
   std::uint64_t windows_{0};
   std::uint64_t cross_sends_{0};
@@ -182,6 +214,13 @@ class sharded_event_queue {
   std::uint64_t widen_{1};
   std::uint64_t widened_windows_{0};
   std::uint64_t peak_widen_{1};
+  // Host-only cost model behind run_active's choice.
+  static constexpr std::uint64_t kMeasureEvery = 16;
+  std::uint64_t decisions_{0};  ///< sub-segments that weighed a fork
+  double timed_ns_{0};          ///< host ns of timed inline runs...
+  double timed_due_{0};         ///< ...over this many events due at their start
+  double overhead_ns_{0};       ///< summed fork overhead over forks_ forks
+  std::uint64_t forks_{0};
 };
 
 }  // namespace adx::sim

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ct/context.hpp"
@@ -104,36 +105,68 @@ TEST(Federation, PostUnblockLandsExactlyAtTheLookaheadHorizon) {
   EXPECT_EQ(dom->stats().cross_sends, 1u);
 }
 
-TEST(Federation, CrossPlaceLockOperationThrows) {
-  const auto cfg = fed_machine(4, 4);
+/// fed_machine with a 2 ms wire: the lookahead is the wire, so a short run
+/// is one fat window whose busy shards fork whenever there are workers.
+sim::machine_config fat_window_machine() {
+  auto cfg = fed_machine(4, 4);
+  cfg.remote_wire = sim::milliseconds(2);
+  return cfg;
+}
 
+/// Keeps groups 0, 2 and 3 of a 4x4 machine computing, so windows have
+/// several busy shards while group 1 does the thing under test.
+void fork_busy_groups(federation& fed) {
+  for (const sim::node_id node : {0u, 8u, 12u}) {
+    fed.fork(node, [](context& ctx) -> task<void> {
+      for (int i = 0; i < 4; ++i) co_await ctx.compute(sim::microseconds(50));
+    });
+  }
+}
+
+TEST(Federation, CrossPlaceLockOperationThrows) {
   // A group-1 thread touching a place-0 lock violates the shard discipline.
   // The error must surface from run_all whether it is raised inline or on a
-  // pool worker: the other groups keep busy so windows fan out.
-  for (unsigned shards : {1u, 2u, 4u}) {
-    for (unsigned jobs : {1u, 2u, 4u}) {
-      auto dom = sim::make_event_domain(cfg, {.shards = shards});
-      federation fed(cfg, *dom);
-      auto lk = locks::make_lock(locks::lock_kind::spin, 0,
-                                 locks::lock_cost_model::butterfly_cthreads(), {});
-      lk->bind_place(0);
-      for (const sim::node_id node : {0u, 8u, 12u}) {
-        fed.fork(node, [](context& ctx) -> task<void> {
-          for (int i = 0; i < 4; ++i) co_await ctx.compute(sim::microseconds(50));
+  // pool worker; the fat-window machine makes the window it is raised in
+  // fork.
+  for (const auto& cfg : {fed_machine(4, 4), fat_window_machine()}) {
+    std::string inline_what;
+    for (unsigned shards : {1u, 2u, 4u}) {
+      for (unsigned jobs : {1u, 2u, 4u}) {
+        const auto where = testing::Message() << "wire=" << cfg.remote_wire.ns
+                                              << " shards=" << shards << " jobs=" << jobs;
+        auto dom = sim::make_event_domain(cfg, {.shards = shards});
+        federation fed(cfg, *dom);
+        auto lk = locks::make_lock(locks::lock_kind::spin, 0,
+                                   locks::lock_cost_model::butterfly_cthreads(), {});
+        lk->bind_place(0);
+        fork_busy_groups(fed);
+        fed.fork(4, [&lk](context& ctx) -> task<void> {
+          co_await ctx.compute(sim::microseconds(50));
+          co_await lk->lock(ctx);
+          co_await lk->unlock(ctx);
         });
+        exec::job_executor ex(jobs);
+        std::string what;
+        try {
+          fed.run_all(jobs > 1 ? &ex : nullptr);
+          ADD_FAILURE() << "no throw: " << where;
+        } catch (const std::logic_error& e) {
+          what = e.what();
+        }
+        if (inline_what.empty()) {
+          inline_what = what;
+        } else {
+          EXPECT_EQ(what, inline_what) << where;
+        }
+        // One shard runs without the executor; otherwise the first window
+        // with two busy shards always forks.
+        if (shards > 1 && jobs > 1) EXPECT_GT(dom->forked_windows(), 0u) << where;
       }
-      fed.fork(4, [&lk](context& ctx) -> task<void> {
-        co_await ctx.compute(sim::microseconds(50));
-        co_await lk->lock(ctx);
-        co_await lk->unlock(ctx);
-      });
-      exec::job_executor ex(jobs);
-      EXPECT_THROW(fed.run_all(jobs > 1 ? &ex : nullptr), std::logic_error)
-          << "shards=" << shards << " jobs=" << jobs;
     }
   }
 
   // The same lock is fine from its own place.
+  const auto cfg = fed_machine(4, 4);
   auto dom2 = sim::make_event_domain(cfg);
   federation fed2(cfg, *dom2);
   auto lk2 = locks::make_lock(locks::lock_kind::spin, 0,
@@ -145,6 +178,34 @@ TEST(Federation, CrossPlaceLockOperationThrows) {
   });
   EXPECT_TRUE(fed2.run_all().completed);
   EXPECT_EQ(lk2->stats().acquisitions(), 1u);
+}
+
+TEST(Federation, ThreadErrorInOneGroupWhileOthersRun) {
+  // One group's thread throws while three groups compute: run_all rethrows
+  // that error, message intact, at every shard and worker count — also when
+  // the throw happens inside a forked fat window.
+  for (const auto& cfg : {fed_machine(4, 4), fat_window_machine()}) {
+    for (unsigned shards : {1u, 2u, 4u}) {
+      for (unsigned jobs : {1u, 2u, 4u}) {
+        const auto where = testing::Message() << "wire=" << cfg.remote_wire.ns
+                                              << " shards=" << shards << " jobs=" << jobs;
+        auto dom = sim::make_event_domain(cfg, {.shards = shards});
+        federation fed(cfg, *dom);
+        fork_busy_groups(fed);
+        fed.fork(4, [](context& ctx) -> task<void> {
+          co_await ctx.compute(sim::microseconds(70));
+          throw std::runtime_error("group 1 failed");
+        });
+        exec::job_executor ex(jobs);
+        try {
+          fed.run_all(jobs > 1 ? &ex : nullptr);
+          ADD_FAILURE() << "no throw: " << where;
+        } catch (const std::runtime_error& e) {
+          EXPECT_STREQ(e.what(), "group 1 failed") << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(Federation, DeadlockReportsStuckThreadsAcrossGroups) {

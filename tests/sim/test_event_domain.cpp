@@ -138,9 +138,10 @@ TEST(EventDomain, RunRethrowsACallbackErrorFromAPoolWorker) {
   exec::job_executor ex(4);
   const auto caller = std::this_thread::get_id();
   std::atomic<bool> worker_threw{false};
-  // One event per shard in the same window, so the window fans out. The
-  // calling thread takes part as worker 0; it holds its job until a pool
-  // worker has thrown, so the error under test really crosses threads.
+  // One event per shard in the first window, which always forks (it seeds
+  // the inline-or-fork cost model). The calling thread takes part as
+  // worker 0; it holds its job until a pool worker has thrown, so the error
+  // under test really crosses threads.
   for (unsigned p = 0; p < dom->places(); ++p) {
     dom->queue_of(p).schedule_at(vtime{10}, [&] {
       if (std::this_thread::get_id() != caller) {
