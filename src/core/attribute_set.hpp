@@ -65,6 +65,16 @@ class attribute_set {
 
   [[nodiscard]] std::int64_t value(std::string_view name) const { return at(name).get(); }
 
+  /// Declaration-order position of `name`; attributes are never removed, so
+  /// hot paths look a name up once and then read by_index().
+  [[nodiscard]] std::size_t index_of(std::string_view name) const {
+    return static_cast<std::size_t>(&at(name) - attrs_.data());
+  }
+  attribute<std::int64_t>& by_index(std::size_t i) { return attrs_[i]; }
+  [[nodiscard]] const attribute<std::int64_t>& by_index(std::size_t i) const {
+    return attrs_[i];
+  }
+
   [[nodiscard]] std::size_t size() const { return attrs_.size(); }
   [[nodiscard]] auto begin() const { return attrs_.begin(); }
   [[nodiscard]] auto end() const { return attrs_.end(); }

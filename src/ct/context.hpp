@@ -21,14 +21,17 @@ namespace adx::ct {
 
 namespace detail {
 
+/// Suspends until `resume_at`. await_suspend returns false when the resume
+/// ran ahead (runtime::schedule_resume), so the coroutine continues at once
+/// without growing the stack.
 struct timed_awaiter {
   runtime* rt;
   tcb* t;
   sim::vtime resume_at;
 
   bool await_ready() const noexcept { return resume_at <= rt->now(); }
-  void await_suspend(std::coroutine_handle<> h) const {
-    rt->schedule_resume(*t, h, resume_at);
+  bool await_suspend(std::coroutine_handle<> h) const {
+    return rt->schedule_resume(*t, h, resume_at);
   }
   void await_resume() const noexcept {}
 };
@@ -41,8 +44,8 @@ struct value_timed_awaiter {
   T value;
 
   bool await_ready() const noexcept { return resume_at <= rt->now(); }
-  void await_suspend(std::coroutine_handle<> h) const {
-    rt->schedule_resume(*t, h, resume_at);
+  bool await_suspend(std::coroutine_handle<> h) const {
+    return rt->schedule_resume(*t, h, resume_at);
   }
   T await_resume() const noexcept { return value; }
 };

@@ -63,10 +63,7 @@ thread_id runtime::fork(proc_id p, thread_fn fn, int priority) {
 }
 
 runtime::run_result runtime::run(std::uint64_t max_events) {
-  auto& q = mach_.events();
-  std::uint64_t n = 0;
-  while (n < max_events && q.run_one()) ++n;
-  return finish(n);
+  return finish(mach_.events().run(max_events));
 }
 
 runtime::run_result runtime::finish(std::uint64_t events) const {
@@ -117,16 +114,24 @@ thread_id runtime::current_on(proc_id p) const {
 tcb& runtime::thread_ref(thread_id t) { return *threads_.at(t); }
 const tcb& runtime::thread_ref(thread_id t) const { return *threads_.at(t); }
 
-void runtime::schedule_resume(tcb& t, std::coroutine_handle<> h, sim::vtime at) {
+bool runtime::schedule_resume(tcb& t, std::coroutine_handle<> h, sim::vtime at) {
   t.resume_point = h;
   const auto epoch = ++t.epoch;
   // Injected resume-point delay (schedule exploration): the thread holds its
   // processor slightly longer, widening the window for other processors'
   // memory traffic to interleave with this atomic window's neighbours.
   if (perturber_ != nullptr) at = at + perturber_->resume_delay(t.id);
-  mach_.events().schedule_at(at, [&t, h, epoch] {
+  // The awaiting thread suspends right after this call, so the resume event
+  // is the last thing the running callback schedules. If it would also be
+  // the next event run, nothing can happen in between: its epoch check
+  // would pass and it would resume `h` at `at`, so the queue counts it as
+  // run and `h` continues in place.
+  auto& q = mach_.events();
+  if (q.try_run_ahead(at)) return false;
+  q.schedule_at(at, [&t, h, epoch] {
     if (t.epoch == epoch && t.state == thread_state::running) h.resume();
   });
+  return true;
 }
 
 void runtime::end_run_span(tcb& t, const char* how) {

@@ -139,7 +139,8 @@ class runtime {
   };
 
   /// Drives the simulation until the event queue drains or `max_events` have
-  /// been processed. Does not throw on stuck threads; inspect the result.
+  /// been processed (one event_queue::run drain, so resumes run ahead count
+  /// toward the budget). Does not throw on stuck threads; inspect the result.
   run_result run(std::uint64_t max_events = 500'000'000ULL);
 
   /// Like run(), but throws deadlock_error / simulation_limit_error and
@@ -171,8 +172,11 @@ class runtime {
   [[nodiscard]] const tcb& thread_ref(thread_id t) const;
 
   /// Resumes `h` (belonging to thread `t`) at absolute time `at`; the thread
-  /// keeps its processor meanwhile (computing / waiting on memory).
-  void schedule_resume(tcb& t, std::coroutine_handle<> h, sim::vtime at);
+  /// keeps its processor meanwhile (computing / waiting on memory). Returns
+  /// false when the resume ran ahead (sim::event_queue::try_run_ahead): the
+  /// clock is already at `at` and the caller must continue `h` in place —
+  /// await_suspend returns this value.
+  bool schedule_resume(tcb& t, std::coroutine_handle<> h, sim::vtime at);
 
   /// Current thread gives up its processor until unblock(); `h` resumes it.
   void suspend_block(tcb& t, std::coroutine_handle<> h);

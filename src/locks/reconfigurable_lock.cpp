@@ -32,13 +32,16 @@ reconfigurable_lock::reconfigurable_lock(sim::node_id home, lock_cost_model cost
   a.declare("sleep-time", initial.sleep_time);
   a.declare("timeout", initial.timeout_us);
   a.declare("grant-mode", 0);  // 0 = direct handoff, 1 = release-and-retry
+  policy_attr_ = {a.index_of("spin-time"), a.index_of("delay-time"),
+                  a.index_of("sleep-time"), a.index_of("timeout")};
+  grant_mode_attr_ = a.index_of("grant-mode");
   init_method_impl(std::string(sched_->name()));
 }
 
 waiting_policy reconfigurable_lock::current_policy() const {
   const auto& a = attributes();
-  return {a.value("spin-time"), a.value("delay-time"), a.value("sleep-time"),
-          a.value("timeout")};
+  return {a.by_index(policy_attr_[0]).get(), a.by_index(policy_attr_[1]).get(),
+          a.by_index(policy_attr_[2]).get(), a.by_index(policy_attr_[3]).get()};
 }
 
 bool reconfigurable_lock::apply_waiting_policy(const waiting_policy& wp,
@@ -48,9 +51,8 @@ bool reconfigurable_lock::apply_waiting_policy(const waiting_policy& wp,
   const auto cur = current_policy();
   if (cur == wp) return true;  // no-op: no Ψ recorded
   // All-or-nothing check first (ownership / mutability), then apply.
-  const char* names[] = {"spin-time", "delay-time", "sleep-time", "timeout"};
-  for (const char* n : names) {
-    const auto& attr = a.at(n);
+  for (const auto i : policy_attr_) {
+    const auto& attr = a.by_index(i);
     if (!attr.is_mutable()) return false;
     if (attr.owner() && (!who || *who != *attr.owner())) return false;
   }
@@ -58,10 +60,10 @@ bool reconfigurable_lock::apply_waiting_policy(const waiting_policy& wp,
   // makes the window atomic (no awaits), and the brackets let an attached
   // observer verify that — any lock traffic between them is a violation.
   stats_.on_psi_begin(at);
-  a.at("spin-time").set(wp.spin_time, who);
-  a.at("delay-time").set(wp.delay_time, who);
-  a.at("sleep-time").set(wp.sleep_time, who);
-  a.at("timeout").set(wp.timeout_us, who);
+  a.by_index(policy_attr_[0]).set(wp.spin_time, who);
+  a.by_index(policy_attr_[1]).set(wp.delay_time, who);
+  a.by_index(policy_attr_[2]).set(wp.sleep_time, who);
+  a.by_index(policy_attr_[3]).set(wp.timeout_us, who);
   stats_.on_psi_end(at);
   note_reconfiguration(core::op_cost{1, 1});  // packed policy word
   return true;
@@ -144,7 +146,7 @@ ct::task<void> reconfigurable_lock::unlock(ct::context& ctx) {
   co_await ctx.touch(home(), sim::access_kind::read);  // inspect registrations
 
   bool handed = false;
-  if (attributes().value("grant-mode") != 0) {
+  if (attributes().by_index(grant_mode_attr_).get() != 0) {
     // Release-and-retry: free the word first, then wake the scheduler's pick
     // to re-compete (it re-registers if it loses). Keep picking past waiters
     // whose timed waits expired concurrently, so no registrant is stranded.

@@ -28,6 +28,7 @@
 //       charged to it; barging lets any runnable thread take the free lock.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -126,6 +127,11 @@ class reconfigurable_lock : public lock_object, public core::adaptive_object {
  private:
   std::unique_ptr<lock_scheduler> sched_;
   std::unique_ptr<lock_scheduler> pending_sched_;
+  /// attributes() indices of spin-time, delay-time, sleep-time, timeout (the
+  /// waiting_policy fields, in order) and grant-mode, looked up once: the
+  /// lock and unlock paths read them on every call.
+  std::array<std::size_t, 4> policy_attr_{};
+  std::size_t grant_mode_attr_{0};
 };
 
 }  // namespace adx::locks

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
           .str("telemetry-run", "adx-bench", "run id tagging this stream")
           .str("telemetry-dump", "", "also write the telemetry frames to this file")
           .u64("slow-pop-ns", 0,
-               "debug: busy-wait N ns of host time in every event-queue pop "
+               "debug: busy-wait N ns of host time in every event run "
                "(gate self-test; virtual results unchanged)")
           .note("Clocks: metrics tagged clock=virtual are simulated virtual time —")
           .note("deterministic for a fixed seed, identical on every machine, and compared")

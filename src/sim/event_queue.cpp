@@ -84,8 +84,19 @@ std::size_t event_queue::due_by(vtime until, std::size_t cap) const {
   return due;
 }
 
-bool event_queue::run_one() {
-  if (heap_.empty()) return false;
+class event_queue::drain_scope {
+ public:
+  drain_scope(event_queue& q, drain_bounds b) : q_(q), outer_(q.drain_) { q.drain_ = b; }
+  ~drain_scope() { q_.drain_ = outer_; }
+  drain_scope(const drain_scope&) = delete;
+  drain_scope& operator=(const drain_scope&) = delete;
+
+ private:
+  event_queue& q_;
+  drain_bounds outer_;
+};
+
+void event_queue::run_top() {
   debug_pop_delay();
   const handle h = heap_pop_top();
   now_ = h.at;
@@ -105,25 +116,45 @@ bool event_queue::run_one() {
   } guard{this, h.slot};
   auto& s = slot_at(h.slot);
   s.invoke(s);
+}
+
+bool event_queue::run_one() {
+  if (heap_.empty()) return false;
+  const drain_scope scope(*this, {});
+  run_top();
   return true;
 }
 
 std::uint64_t event_queue::run(std::uint64_t limit) {
-  std::uint64_t n = 0;
-  while (n < limit && run_one()) ++n;
-  return n;
+  return run_until(vtime{~std::uint64_t{0}}, limit);
 }
 
-std::uint64_t event_queue::run_until(vtime until) {
-  std::uint64_t n = 0;
-  while (!heap_.empty() && heap_.front().at <= until && run_one()) ++n;
-  return n;
-}
+std::uint64_t event_queue::run_until(vtime until) { return run_until(until, ~0ULL); }
 
 std::uint64_t event_queue::run_until(vtime until, std::uint64_t limit) {
-  std::uint64_t n = 0;
-  while (n < limit && !heap_.empty() && heap_.front().at <= until && run_one()) ++n;
-  return n;
+  // Counted through processed(), so events run ahead inside a callback count
+  // toward `limit` exactly like popped ones.
+  const std::uint64_t start = processed_;
+  const std::uint64_t end = limit > ~std::uint64_t{0} - start ? ~std::uint64_t{0} : start + limit;
+  const drain_scope scope(*this, {until, end});
+  while (processed_ < end && !heap_.empty() && heap_.front().at <= until) run_top();
+  return processed_ - start;
+}
+
+bool event_queue::try_run_ahead(vtime at) {
+  if (at < now_) at = now_;  // as schedule_at clamps
+  // The event would get the highest seq yet, so a pending event at the same
+  // time sorts before it: only a strictly earlier `at` is next.
+  if (perturber_ != nullptr || processed_ >= drain_.end || at > drain_.until ||
+      (!heap_.empty() && !(at < heap_[0].at))) {
+    return false;
+  }
+  debug_pop_delay();
+  ++seq_;
+  ++processed_;
+  ++run_aheads_;
+  now_ = at;
+  return true;
 }
 
 }  // namespace adx::sim

@@ -84,11 +84,12 @@ class event_queue {
   /// due descendants — so it costs O(min(due, cap)), not O(pending()).
   [[nodiscard]] std::size_t due_by(vtime until, std::size_t cap) const;
 
-  /// Runs the earliest event; returns false if the queue was empty.
+  /// Runs the earliest event; returns false if the queue was empty. A
+  /// single step admits no run-ahead (see try_run_ahead()).
   bool run_one();
 
   /// Runs events until the queue drains or `limit` events have run.
-  /// Returns the number of events processed.
+  /// Returns the number of events processed, run-ahead events included.
   std::uint64_t run(std::uint64_t limit = ~0ULL);
 
   /// Runs events with timestamp <= `until` (events scheduled during the run
@@ -99,6 +100,23 @@ class event_queue {
   /// livelock guard for window-driven runs whose events respawn at one
   /// timestamp.
   std::uint64_t run_until(vtime until, std::uint64_t limit);
+
+  /// Run-ahead: called from inside a running callback that is about to
+  /// schedule, as its last act, an event at `at` whose whole effect is to
+  /// continue that callback's work. If that event would be the very next one
+  /// this drain runs — no perturber, `at` inside the drain's time bound and
+  /// event budget, and strictly earlier than every pending event (an
+  /// equal-time pending event has a lower seq and runs first) — the event is
+  /// counted as scheduled and run right here: seq, processed() and now()
+  /// advance exactly as a push and a pop would, and the caller continues in
+  /// place instead of scheduling. Returns false (nothing changed) otherwise;
+  /// the caller then schedules as usual. Outside run()/run_until() — e.g.
+  /// under run_one() stepping — it always returns false.
+  bool try_run_ahead(vtime at);
+
+  /// Host-only count of successful try_run_ahead() calls (tests). Not a
+  /// virtual metric: every run-ahead event is also counted in processed().
+  [[nodiscard]] std::uint64_t run_aheads() const { return run_aheads_; }
 
   /// Attaches a schedule perturber (not owned; null detaches). Only the
   /// tie-break hook is consulted here; events already queued keep the key
@@ -132,7 +150,8 @@ class event_queue {
   /// this at zero.
   [[nodiscard]] std::uint64_t callback_spills() const { return spills_; }
 
-  /// CI/test hook: busy-wait `ns` of host wall time inside every pop.
+  /// CI/test hook: busy-wait `ns` of host wall time in every event run
+  /// (popped or run ahead).
   /// Virtual-time results are unaffected (the simulated clock cannot see host
   /// time); wall metrics degrade proportionally. adx-bench's regression-gate
   /// self-test uses this to prove the gate trips. 0 (the default) disables.
@@ -238,6 +257,20 @@ class event_queue {
 
   void grow_slab();  // cold path: appends one chunk, rebuilds the freelist
 
+  /// Pops and runs the earliest event (the queue must not be empty).
+  void run_top();
+
+  /// The bounds of the drain in progress: run-ahead may run an event only at
+  /// or before `until` while processed() < `end`. `end == 0` (no drain, or
+  /// run_one()) admits none.
+  struct drain_bounds {
+    vtime until{};
+    std::uint64_t end{0};
+  };
+  /// Installs a drain's bounds for its duration, restoring the outer ones on
+  /// exit (also when a callback throws).
+  class drain_scope;
+
   std::vector<handle> heap_;
   std::vector<std::unique_ptr<event_slot[]>> chunks_;
   std::uint32_t free_head_{kNoSlot};
@@ -245,6 +278,8 @@ class event_queue {
   std::uint64_t seq_{0};
   std::uint64_t processed_{0};
   std::uint64_t spills_{0};
+  std::uint64_t run_aheads_{0};
+  drain_bounds drain_{};
   perturber* perturber_{nullptr};
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 
 namespace adx::tsp {
 
@@ -71,36 +70,89 @@ std::int64_t lmsk::reduce(subproblem& sp) {
     if (r >= kInfBound) return kInfBound;
     added += r;
   }
-  for (int j = 0; j < k; ++j) {
-    const auto c = reduce_col(sp, j);
-    if (c >= kInfBound) return kInfBound;
-    added += c;
+  // Column minima in one row-major pass rather than k strided scans.
+  const auto n = static_cast<std::size_t>(k);
+  std::int32_t* m = sp.m.data();
+  colmin_.assign(n, kInf);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t* row = m + i * n;
+    for (std::size_t j = 0; j < n; ++j) colmin_[j] = std::min(colmin_[j], row[j]);
   }
-  return added;
+  // Charged and summed column by column; an infeasible column ends the
+  // reduction with only the columns before it reduced. colmin_ becomes the
+  // amount each column subtracts (0 unless its minimum is positive).
+  std::size_t feasible = n;
+  bool any = false;
+  for (std::size_t j = 0; j < n; ++j) {
+    ops_ += n;
+    const auto mn = colmin_[j];
+    if (mn >= kInf) {
+      feasible = j;
+      break;
+    }
+    added += mn;
+    if (mn > 0) {
+      ops_ += n;
+      any = true;
+    } else {
+      colmin_[j] = 0;
+    }
+  }
+  if (any) {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::int32_t* row = m + i * n;
+      for (std::size_t j = 0; j < feasible; ++j) {
+        row[j] = row[j] < kInf ? row[j] - colmin_[j] : row[j];
+      }
+    }
+  }
+  return feasible < n ? kInfBound : added;
 }
 
 lmsk::branch_pick lmsk::choose_branch(const subproblem& sp) {
-  const int k = sp.k();
-  branch_pick best;
-  for (int i = 0; i < k; ++i) {
-    for (int j = 0; j < k; ++j) {
-      ++ops_;
-      if (sp.cell(i, j) != 0) continue;
-      // Penalty: cheapest alternative use of row i plus of column j.
-      std::int32_t row_alt = kInf;
-      for (int jj = 0; jj < k; ++jj) {
-        ++ops_;
-        if (jj != j) row_alt = std::min(row_alt, sp.cell(i, jj));
-      }
-      std::int32_t col_alt = kInf;
-      for (int ii = 0; ii < k; ++ii) {
-        ++ops_;
-        if (ii != i) col_alt = std::min(col_alt, sp.cell(ii, j));
-      }
-      const std::int64_t penalty =
-          static_cast<std::int64_t>(sat(row_alt)) + static_cast<std::int64_t>(sat(col_alt));
-      if (penalty > best.penalty) best = {i, j, penalty};
+  const auto n = static_cast<std::size_t>(sp.k());
+  row1_.resize(n);
+  row2_.resize(n);
+  col1_.assign(n, kInf);
+  col2_.assign(n, kInf);
+  zeros_.resize(n * n);
+  // One row-major pass: the two smallest cells of each row and column, as a
+  // multiset (a repeated minimum is its own runner-up), and the zero cells
+  // in row-major order, appended without a branch.
+  const std::int32_t* m = sp.m.data();
+  std::int32_t* c1 = col1_.data();
+  std::int32_t* c2 = col2_.data();
+  std::int32_t* zeros = zeros_.data();
+  std::size_t z = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t* row = m + i * n;
+    std::int32_t r1 = kInf;
+    std::int32_t r2 = kInf;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::int32_t v = row[j];
+      r2 = std::min(r2, std::max(r1, v));
+      r1 = std::min(r1, v);
+      c2[j] = std::min(c2[j], std::max(c1[j], v));
+      c1[j] = std::min(c1[j], v);
+      zeros[z] = static_cast<std::int32_t>(i * n + j);
+      z += v == 0 ? 1 : 0;
     }
+    row1_[i] = r1;
+    row2_[i] = r2;
+  }
+  ops_ += n * n + 2 * n * z;
+
+  // Penalty of a zero: the cheapest other cell of its row plus of its column.
+  // Without the zero itself that is the runner-up when the zero is the
+  // line's minimum, and the minimum otherwise.
+  branch_pick best;
+  for (std::size_t t = 0; t < z; ++t) {
+    const auto i = static_cast<std::size_t>(zeros[t]) / n;
+    const auto j = static_cast<std::size_t>(zeros[t]) % n;
+    const std::int32_t row_alt = row1_[i] == 0 ? row2_[i] : row1_[i];
+    const std::int32_t col_alt = c1[j] == 0 ? c2[j] : c1[j];
+    const std::int64_t penalty = std::int64_t{row_alt} + col_alt;
+    if (penalty > best.penalty) best = {static_cast<int>(i), static_cast<int>(j), penalty};
   }
   return best;
 }
@@ -110,16 +162,17 @@ void lmsk::forbid_subtour_arc(subproblem& child) {
   // chain containing the newest arc runs from some start city s (no incoming
   // committed arc) to some end city e (no outgoing committed arc); arc (e, s)
   // would close a premature subtour.
-  const int n = inst_->n();
-  std::vector<std::int16_t> next(n, -1), prev(n, -1);
+  const auto n = static_cast<std::size_t>(inst_->n());
+  next_.assign(n, -1);
+  prev_.assign(n, -1);
   for (const auto& e : child.edges) {
-    next[e[0]] = e[1];
-    prev[e[1]] = e[0];
+    next_[e[0]] = e[1];
+    prev_[e[1]] = e[0];
   }
   std::int16_t s = child.edges.back()[0];
-  while (prev[s] != -1) s = prev[s];
+  while (prev_[s] != -1) s = prev_[s];
   std::int16_t e = child.edges.back()[1];
-  while (next[e] != -1) e = next[e];
+  while (next_[e] != -1) e = next_[e];
 
   const auto ri = std::find(child.rows.begin(), child.rows.end(), e);
   const auto cj = std::find(child.cols.begin(), child.cols.end(), s);
@@ -196,56 +249,56 @@ expand_result lmsk::expand(subproblem sp, std::int64_t best, std::uint32_t& next
     return out;
   }
 
-  // --- Exclude child: forbid arc (rows[i] -> cols[j]).
-  {
-    subproblem ex = sp;
-    ops_ += ex.words();  // matrix copy
-    ex.cell(pick.i, pick.j) = kInf;
-    const auto ra = reduce_row(ex, pick.i);
-    const auto ca = reduce_col(ex, pick.j);
-    if (ra < kInfBound && ca < kInfBound) {
-      ex.bound = sp.bound + ra + ca;
-      if (ex.bound < best) {
-        ex.seq = next_seq++;
-        out.children.push_back(std::move(ex));
-      }
+  // --- Include child: commit arc (rows[i] -> cols[j]), drop row i / col j.
+  // Built first, while `sp` still holds the parent matrix.
+  const int k = sp.k();
+  subproblem in;
+  in.rows.reserve(k - 1);
+  in.cols.reserve(k - 1);
+  for (int i = 0; i < k; ++i) {
+    if (i != pick.i) in.rows.push_back(sp.rows[i]);
+  }
+  for (int j = 0; j < k; ++j) {
+    if (j != pick.j) in.cols.push_back(sp.cols[j]);
+  }
+  in.m.resize(static_cast<std::size_t>(k - 1) * (k - 1));
+  auto dst = in.m.begin();
+  for (int i = 0; i < k; ++i) {
+    if (i == pick.i) continue;
+    const auto row = sp.m.cbegin() + static_cast<std::ptrdiff_t>(i) * k;
+    dst = std::copy(row, row + pick.j, dst);
+    dst = std::copy(row + pick.j + 1, row + k, dst);
+  }
+  ops_ += static_cast<std::uint64_t>(k - 1) * (k - 1);
+  in.edges.reserve(sp.edges.size() + 1);
+  in.edges = sp.edges;
+  in.edges.push_back({sp.rows[pick.i], sp.cols[pick.j]});
+  forbid_subtour_arc(in);
+  ops_ += static_cast<std::uint64_t>(in.edges.size()) * 2;
+  const auto in_added = reduce(in);
+
+  // --- Exclude child: forbid arc (rows[i] -> cols[j]). It takes over the
+  // parent's storage; the matrix copy it models is still charged.
+  const std::int64_t parent_bound = sp.bound;
+  subproblem ex = std::move(sp);
+  ops_ += ex.words();
+  ex.cell(pick.i, pick.j) = kInf;
+  const auto ra = reduce_row(ex, pick.i);
+  const auto ca = reduce_col(ex, pick.j);
+
+  // Children in creation order: exclude, then include.
+  if (ra < kInfBound && ca < kInfBound) {
+    ex.bound = parent_bound + ra + ca;
+    if (ex.bound < best) {
+      ex.seq = next_seq++;
+      out.children.push_back(std::move(ex));
     }
   }
-
-  // --- Include child: commit arc (rows[i] -> cols[j]), drop row i / col j.
-  {
-    const int k = sp.k();
-    subproblem in;
-    in.rows.reserve(k - 1);
-    in.cols.reserve(k - 1);
-    for (int i = 0; i < k; ++i) {
-      if (i != pick.i) in.rows.push_back(sp.rows[i]);
-    }
-    for (int j = 0; j < k; ++j) {
-      if (j != pick.j) in.cols.push_back(sp.cols[j]);
-    }
-    in.m.resize(static_cast<std::size_t>(k - 1) * (k - 1));
-    for (int i = 0, ii = 0; i < k; ++i) {
-      if (i == pick.i) continue;
-      for (int j = 0, jj = 0; j < k; ++j) {
-        if (j == pick.j) continue;
-        ++ops_;
-        in.cell(ii, jj) = sp.cell(i, j);
-        ++jj;
-      }
-      ++ii;
-    }
-    in.edges = sp.edges;
-    in.edges.push_back({sp.rows[pick.i], sp.cols[pick.j]});
-    forbid_subtour_arc(in);
-    ops_ += static_cast<std::uint64_t>(in.edges.size()) * 2;
-    const auto added = reduce(in);
-    if (added < kInfBound) {
-      in.bound = sp.bound + added;
-      if (in.bound < best) {
-        in.seq = next_seq++;
-        out.children.push_back(std::move(in));
-      }
+  if (in_added < kInfBound) {
+    in.bound = parent_bound + in_added;
+    if (in.bound < best) {
+      in.seq = next_seq++;
+      out.children.push_back(std::move(in));
     }
   }
 
@@ -258,19 +311,13 @@ seq_result solve_sequential(const instance& inst) {
   lmsk engine(inst);
   seq_result res;
 
-  struct worse {
-    bool operator()(const subproblem& a, const subproblem& b) const {
-      return a.bound == b.bound ? a.seq > b.seq : a.bound > b.bound;
-    }
-  };
-  std::priority_queue<subproblem, std::vector<subproblem>, worse> pq;
+  node_queue pq;
   std::uint32_t seq = 1;
   pq.push(engine.root());
 
   while (!pq.empty()) {
     res.peak_queue = std::max(res.peak_queue, pq.size());
-    subproblem sp = pq.top();
-    pq.pop();
+    subproblem sp = pq.pop();
     if (sp.bound >= res.best.cost) continue;  // pruned
     auto er = engine.expand(std::move(sp), res.best.cost, seq);
     ++res.expansions;

@@ -10,6 +10,7 @@
 // execution time tracks the real arithmetic actually done.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -54,6 +55,35 @@ struct subproblem {
   }
 };
 
+/// Best-first queue of subproblems: lowest bound first, ties by creation
+/// sequence. A binary heap under the same push_heap/pop_heap calls as
+/// std::priority_queue, so nodes pop in the same order, but pop() moves the
+/// node out instead of copying its matrix.
+class node_queue {
+ public:
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  void push(subproblem sp) {
+    heap_.push_back(std::move(sp));
+    std::push_heap(heap_.begin(), heap_.end(), worse{});
+  }
+  /// Removes and returns the best node (requires !empty()).
+  subproblem pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), worse{});
+    subproblem sp = std::move(heap_.back());
+    heap_.pop_back();
+    return sp;
+  }
+
+ private:
+  struct worse {
+    bool operator()(const subproblem& a, const subproblem& b) const {
+      return a.bound == b.bound ? a.seq > b.seq : a.bound > b.bound;
+    }
+  };
+  std::vector<subproblem> heap_;
+};
+
 /// Result of expanding one node.
 struct expand_result {
   std::optional<tour> completed;       ///< set when the node resolved to a tour
@@ -79,11 +109,14 @@ class lmsk {
   [[nodiscard]] std::uint64_t total_ops() const { return total_ops_; }
   [[nodiscard]] std::uint64_t total_expansions() const { return expansions_; }
 
- private:
+  // ------- the kernels expand() runs, public so tests can check them
+  //         against a scalar reference.
+
   /// Full row+column reduction; returns the bound increase (or kInfBound).
+  /// Charges what reducing each row, then each column, in turn would: k per
+  /// line scanned, k more per line with 0 < min < kInf, stopping at the
+  /// first infeasible line.
   std::int64_t reduce(subproblem& sp);
-  std::int64_t reduce_row(subproblem& sp, int i);
-  std::int64_t reduce_col(subproblem& sp, int j);
 
   struct branch_pick {
     int i{-1};
@@ -91,8 +124,19 @@ class lmsk {
     std::int64_t penalty{-1};
   };
   /// The zero cell with maximum penalty (min row alternative + min col
-  /// alternative) — the LMSK branching rule.
+  /// alternative) — the LMSK branching rule; ties go to the first zero in
+  /// row-major order. One row-major pass keeps the two smallest cells of
+  /// each row and column; it is charged as the cell-by-cell scan it
+  /// replaces: k*k cells plus a row and a column (2k) per zero.
   branch_pick choose_branch(const subproblem& sp);
+
+  /// Running count of charged operations; expand() and root() reset it on
+  /// entry.
+  [[nodiscard]] std::uint64_t ops() const { return ops_; }
+
+ private:
+  std::int64_t reduce_row(subproblem& sp, int i);
+  std::int64_t reduce_col(subproblem& sp, int j);
 
   /// Forbids the arc that would close the partial chain ending the committed
   /// edge set into a premature subtour.
@@ -106,6 +150,11 @@ class lmsk {
   std::optional<tour> assemble(const std::vector<std::array<std::int16_t, 2>>& edges);
 
   const instance* inst_;
+  // Scratch, resized per call: the two smallest cells of each row and
+  // column, the zero cells' flat indices, the column minima, and each
+  // city's successor and predecessor over the committed arcs.
+  std::vector<std::int32_t> row1_, row2_, col1_, col2_, colmin_, zeros_;
+  std::vector<std::int16_t> next_, prev_;
   std::uint64_t ops_{0};
   std::uint64_t total_ops_{0};
   std::uint64_t expansions_{0};

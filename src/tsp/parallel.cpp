@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
-#include <queue>
 #include <sstream>
 
 #include "ct/context.hpp"
@@ -22,15 +21,6 @@ const char* to_string(variant v) {
 
 namespace {
 
-/// Deterministic best-first ordering: lowest bound, then creation sequence.
-struct worse {
-  bool operator()(const subproblem& a, const subproblem& b) const {
-    return a.bound == b.bound ? a.seq > b.seq : a.bound > b.bound;
-  }
-};
-
-using shard_queue = std::priority_queue<subproblem, std::vector<subproblem>, worse>;
-
 /// Number of queue-record words touched inside a qlock critical section
 /// (pointer, bound key, list links — the node payload itself stays where it
 /// was allocated and is charged when the matrix is actually read).
@@ -46,7 +36,7 @@ struct tsp_sim {
   unsigned nshards;
 
   // Work-queue shards and their locks ("qlock").
-  std::vector<shard_queue> shards;
+  std::vector<node_queue> shards;
   std::vector<std::unique_ptr<ct::svar<std::int64_t>>> shard_size;
   std::vector<std::unique_ptr<locks::lock_object>> qlocks;
 
@@ -188,8 +178,7 @@ struct tsp_sim {
     co_await ctx.touch(shard_home(s), sim::access_kind::read, kQueueRecordWords);
     // --- atomic window.
     if (!shards[s].empty()) {
-      sp = shards[s].top();
-      shards[s].pop();
+      sp = shards[s].pop();
       co_await ctx.write(*shard_size[s],
                          static_cast<std::int64_t>(shards[s].size()));
       co_await ctx.fetch_add(pending, std::int64_t{-1});

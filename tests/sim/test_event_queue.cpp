@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <vector>
 
 namespace adx::sim {
@@ -234,6 +235,139 @@ TEST(EventQueue, NowMonotoneNonDecreasing) {
   }
   q.run();
   EXPECT_TRUE(monotone);
+}
+
+// A callback chain that continues itself every `step` ns, `left` times: it
+// runs ahead when the queue admits it and schedules itself otherwise — the
+// pattern runtime::schedule_resume follows. Logs the time of every step.
+struct chain {
+  event_queue& q;
+  vdur step;
+  int left;
+  std::vector<std::uint64_t>& log;
+
+  void run() {
+    for (;;) {
+      log.push_back(q.now().ns);
+      if (--left == 0) return;
+      const vtime next = q.now() + step;
+      if (!q.try_run_ahead(next)) {
+        q.schedule_at(next, [this] { run(); });
+        return;
+      }
+    }
+  }
+};
+
+TEST(EventQueueRunAhead, LoneChainRunsAheadEveryStepAndCountsEachEvent) {
+  event_queue q;
+  std::vector<std::uint64_t> log;
+  chain c{q, vdur{10}, 6, log};
+  q.schedule_at(vtime{0}, [&] { c.run(); });
+  EXPECT_EQ(q.run(), 6u);
+  EXPECT_EQ(log, (std::vector<std::uint64_t>{0, 10, 20, 30, 40, 50}));
+  EXPECT_EQ(q.run_aheads(), 5u);
+  EXPECT_EQ(q.processed(), 6u);
+  EXPECT_EQ(q.slots_acquired(), 6u);
+  EXPECT_EQ(q.now().ns, 50u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueRunAhead, NeverPastRunUntilsBound) {
+  event_queue q;
+  std::vector<std::uint64_t> log;
+  chain c{q, vdur{10}, 100, log};
+  q.schedule_at(vtime{0}, [&] { c.run(); });
+  EXPECT_EQ(q.run_until(vtime{55}), 6u);
+  EXPECT_EQ(q.now().ns, 50u);
+  ASSERT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.next_at().ns, 60u);
+  // An inclusive bound admits an event exactly at it.
+  EXPECT_EQ(q.run_until(vtime{80}), 3u);
+  EXPECT_EQ(q.now().ns, 80u);
+  EXPECT_EQ(q.next_at().ns, 90u);
+  EXPECT_EQ(log.back(), 80u);
+}
+
+TEST(EventQueueRunAhead, RunLimitStopsAtExactlyLimit) {
+  for (const std::uint64_t limit : {1u, 2u, 7u}) {
+    event_queue q;
+    std::vector<std::uint64_t> log;
+    chain c{q, vdur{10}, 100, log};
+    q.schedule_at(vtime{0}, [&] { c.run(); });
+    EXPECT_EQ(q.run(limit), limit);
+    EXPECT_EQ(q.processed(), limit);
+    EXPECT_EQ(log.size(), limit);
+    EXPECT_EQ(q.pending(), 1u);
+    // The bounded run_until counts the same way.
+    EXPECT_EQ(q.run_until(vtime{1000}, limit), limit);
+    EXPECT_EQ(q.processed(), 2 * limit);
+  }
+}
+
+TEST(EventQueueRunAhead, EqualTimePendingEventRunsFirst) {
+  constexpr std::uint64_t kOther = 999;  // logged by the pending event
+  event_queue q;
+  std::vector<std::uint64_t> log;
+  chain c{q, vdur{10}, 3, log};
+  q.schedule_at(vtime{10}, [&] { c.run(); });
+  // Same time as the chain's second step: scheduled earlier, so it runs first.
+  q.schedule_at(vtime{20}, [&] { log.push_back(kOther); });
+  q.schedule_at(vtime{31}, [&] { log.push_back(kOther + 1); });
+  q.run();
+  EXPECT_EQ(log, (std::vector<std::uint64_t>{10, kOther, 20, 30, kOther + 1}));
+  // 20 waited behind the pending event; 30 < 31 ran ahead.
+  EXPECT_EQ(q.run_aheads(), 1u);
+}
+
+TEST(EventQueueRunAhead, NoneUnderRunOneOrAPerturber) {
+  {
+    event_queue q;
+    std::vector<std::uint64_t> log;
+    chain c{q, vdur{10}, 5, log};
+    q.schedule_at(vtime{0}, [&] { c.run(); });
+    while (q.run_one()) {
+    }
+    EXPECT_EQ(log.size(), 5u);
+    EXPECT_EQ(q.run_aheads(), 0u);
+    EXPECT_EQ(q.processed(), 5u);
+  }
+  {
+    perturber identity;  // default hooks: tie keys equal seqs
+    event_queue q;
+    q.set_perturber(&identity);
+    std::vector<std::uint64_t> log;
+    chain c{q, vdur{10}, 5, log};
+    q.schedule_at(vtime{0}, [&] { c.run(); });
+    EXPECT_EQ(q.run(), 5u);
+    EXPECT_EQ(q.run_aheads(), 0u);
+  }
+  // Outside any drain (no callback running) nothing is admitted either.
+  event_queue q;
+  EXPECT_FALSE(q.try_run_ahead(vtime{5}));
+  EXPECT_EQ(q.processed(), 0u);
+}
+
+TEST(EventQueueRunAhead, DebugDelayIsPaidPerEventRun) {
+  struct delay_guard {
+    explicit delay_guard(std::uint64_t ns) { event_queue::set_debug_pop_delay_ns(ns); }
+    ~delay_guard() { event_queue::set_debug_pop_delay_ns(0); }
+  };
+  constexpr std::uint64_t kDelayNs = 200'000;
+  constexpr int kEvents = 40;
+  event_queue q;
+  std::vector<std::uint64_t> log;
+  chain c{q, vdur{10}, kEvents, log};
+  q.schedule_at(vtime{0}, [&] { c.run(); });
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    const delay_guard delay(kDelayNs);
+    EXPECT_EQ(q.run(), static_cast<std::uint64_t>(kEvents));
+  }
+  const auto wall = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(q.run_aheads(), static_cast<std::uint64_t>(kEvents - 1));
+  EXPECT_GE(std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count(),
+            static_cast<std::int64_t>(kEvents * kDelayNs));
 }
 
 }  // namespace

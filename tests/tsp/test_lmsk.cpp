@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 
 namespace adx::tsp {
@@ -169,11 +170,143 @@ INSTANTIATE_TEST_SUITE_P(RandomAsymmetric, LmskPinned,
                                          pinned_case{16, 777, 146, 41, 38879},
                                          pinned_case{20, 9001, 154, 77, 120265},
                                          pinned_case{20, 1234, 210, 142, 166412},
-                                         pinned_case{20, 777, 153, 132, 179858}),
+                                         pinned_case{20, 777, 153, 132, 179858},
+                                         // The four 36-city instances of the
+                                         // benchmark's tsp_paper workload.
+                                         pinned_case{36, 9001, 201, 777, 3707326},
+                                         pinned_case{36, 1234, 205, 896, 3599697},
+                                         pinned_case{36, 777, 176, 14322, 53733041},
+                                         pinned_case{36, 31337, 179, 1908, 9267557}),
                          [](const testing::TestParamInfo<pinned_case>& info) {
                            return "n" + std::to_string(info.param.n) + "_s" +
                                   std::to_string(info.param.seed);
                          });
+
+// The scalar kernels the one-pass ones replaced, kept as the reference: the
+// same pick, the same matrix and the same charged ops on any input.
+struct scalar_reference {
+  std::uint64_t ops{0};
+
+  static std::int32_t sat(std::int32_t v) { return v >= kInf ? kInf : v; }
+
+  std::int64_t reduce_line(subproblem& sp, int fixed, bool row) {
+    const int k = sp.k();
+    const auto cell = [&](int x) -> std::int32_t& {
+      return row ? sp.cell(fixed, x) : sp.cell(x, fixed);
+    };
+    std::int32_t mn = kInf;
+    for (int x = 0; x < k; ++x) {
+      ++ops;
+      mn = std::min(mn, cell(x));
+    }
+    if (mn >= kInf) return kInfBound;
+    if (mn > 0) {
+      for (int x = 0; x < k; ++x) {
+        ++ops;
+        if (cell(x) < kInf) cell(x) -= mn;
+      }
+    }
+    return mn;
+  }
+
+  std::int64_t reduce(subproblem& sp) {
+    std::int64_t added = 0;
+    for (const bool row : {true, false}) {
+      for (int x = 0; x < sp.k(); ++x) {
+        const auto r = reduce_line(sp, x, row);
+        if (r >= kInfBound) return kInfBound;
+        added += r;
+      }
+    }
+    return added;
+  }
+
+  lmsk::branch_pick choose_branch(const subproblem& sp) {
+    const int k = sp.k();
+    lmsk::branch_pick best;
+    for (int i = 0; i < k; ++i) {
+      for (int j = 0; j < k; ++j) {
+        ++ops;
+        if (sp.cell(i, j) != 0) continue;
+        std::int32_t row_alt = kInf;
+        for (int jj = 0; jj < k; ++jj) {
+          ++ops;
+          if (jj != j) row_alt = std::min(row_alt, sp.cell(i, jj));
+        }
+        std::int32_t col_alt = kInf;
+        for (int ii = 0; ii < k; ++ii) {
+          ++ops;
+          if (ii != i) col_alt = std::min(col_alt, sp.cell(ii, j));
+        }
+        const std::int64_t penalty = std::int64_t{sat(row_alt)} + sat(col_alt);
+        if (penalty > best.penalty) best = {i, j, penalty};
+      }
+    }
+    return best;
+  }
+};
+
+/// A k x k matrix of small values (many zeros and equal penalties), with
+/// kInf cells at `inf_pct` percent and, when `dead_line` is set, one row or
+/// column all kInf.
+subproblem random_matrix(std::mt19937_64& rng, int k, unsigned inf_pct, bool dead_line) {
+  subproblem sp;
+  sp.rows.resize(k);
+  sp.cols.resize(k);
+  sp.m.resize(static_cast<std::size_t>(k) * k);
+  const auto hi = static_cast<std::int32_t>(1 + rng() % 12);
+  for (auto& c : sp.m) {
+    c = rng() % 100 < inf_pct ? kInf : static_cast<std::int32_t>(rng() % (hi + 1));
+  }
+  if (dead_line) {
+    const int x = static_cast<int>(rng() % k);
+    const bool row = rng() % 2 == 0;
+    for (int y = 0; y < k; ++y) (row ? sp.cell(x, y) : sp.cell(y, x)) = kInf;
+  }
+  return sp;
+}
+
+TEST(LmskKernels, MatchTheScalarReference) {
+  lmsk engine(instance::random_asymmetric(4, 1));
+  std::mt19937_64 rng(20240611);
+  int feasible = 0;
+  int infeasible = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const int k = 3 + static_cast<int>(rng() % 78);  // 3..80
+    const unsigned inf_pct = static_cast<unsigned>(rng() % 4) * 10;
+    const bool dead = rng() % 8 == 0;
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " k=" << k);
+    const subproblem raw = random_matrix(rng, k, inf_pct, dead);
+
+    // reduce: same bound increase, same matrix, same ops — feasible or not.
+    subproblem mine = raw;
+    subproblem ref = raw;
+    scalar_reference sr;
+    const auto before = engine.ops();
+    const auto added = engine.reduce(mine);
+    const auto ref_added = sr.reduce(ref);
+    EXPECT_EQ(added, ref_added);
+    EXPECT_EQ(mine.m, ref.m);
+    EXPECT_EQ(engine.ops() - before, sr.ops);
+    ++(ref_added < kInfBound ? feasible : infeasible);
+
+    // choose_branch on the reduced matrix (zeros in every line, many ties)
+    // and on the raw one (lines without zeros, kInf runners-up).
+    const subproblem* inputs[] = {&ref, &raw};
+    for (const subproblem* sp : inputs) {
+      sr.ops = 0;
+      const auto b0 = engine.ops();
+      const auto pick = engine.choose_branch(*sp);
+      const auto ref_pick = sr.choose_branch(*sp);
+      EXPECT_EQ(pick.i, ref_pick.i);
+      EXPECT_EQ(pick.j, ref_pick.j);
+      EXPECT_EQ(pick.penalty, ref_pick.penalty);
+      EXPECT_EQ(engine.ops() - b0, sr.ops);
+    }
+  }
+  EXPECT_GT(feasible, 100);
+  EXPECT_GT(infeasible, 50);
+}
 
 TEST(Lmsk, OptimalNeverWorseThanGreedyUpperBound) {
   const auto inst = instance::random_asymmetric(18, 99);
