@@ -6,81 +6,29 @@
 // simple model underestimates — and that the adaptive lock's advantage
 // survives either way.
 #include "bench_common.hpp"
-#include "workload/cs_workload.hpp"
 
 int main(int argc, char** argv) {
   using namespace adx;
   using bench::table;
 
+  perf::interconnect_shape shape;
   auto opt = bench::bench_sweep_options(argv, "ablation: interconnect model")
-                 .u64("iterations", 120, "lock cycles per thread");
+                 .u64("iterations", shape.iterations, "lock cycles per thread");
   opt.parse(argc, argv);
-  const auto iters = opt.get_u64("iterations");
+  shape.iterations = opt.get_u64("iterations");
+  shape.jobs = bench::jobs_from(opt);
 
   std::printf("Ablation: constant-wire vs. staged butterfly interconnect\n"
               "(10 threads on 10 processors, one lock on node 0, CS 60 us — a "
               "hot-spot workload)\n\n");
 
-  // Flatten the staged x lock-kind grid into one job list; every point is an
-  // independent simulation (own runtime + lock), assembled back by index.
-  struct point {
-    bool staged;
-    locks::lock_kind kind;
-  };
-  std::vector<point> points;
-  for (const bool staged : {false, true}) {
-    for (const auto kind :
-         {locks::lock_kind::spin, locks::lock_kind::blocking, locks::lock_kind::adaptive}) {
-      points.push_back({staged, kind});
-    }
-  }
-  struct cell {
-    double elapsed_ms;
-    double mean_wait_us;
-    double queue_delay_ms;
-    double switch_delay_ms;  // < 0 when the model has no staged network
-  };
-  exec::job_executor ex(bench::jobs_from(opt));
-  const auto cells = ex.map(points.size(), [&](std::size_t i) {
-    workload::cs_config cfg;
-    cfg.processors = 10;
-    cfg.threads = 10;
-    cfg.iterations = iters;
-    cfg.cs_length = sim::microseconds(60);
-    cfg.think_time = sim::microseconds(150);
-    cfg.kind = points[i].kind;
-    cfg.params.adapt = {12, 20, 400, 2};  // tuned per §4, as in Tables 1-3
-    cfg.machine = sim::machine_config::butterfly_gp1000();
-    if (points[i].staged) cfg.machine.wire_model = sim::interconnect_model::butterfly;
-
-    // Run through a dedicated runtime so the network counters are visible.
-    ct::runtime rt(cfg.machine);
-    auto lk = locks::make_lock(cfg.kind, 0, cfg.cost, cfg.params);
-    for (unsigned th = 0; th < cfg.threads; ++th) {
-      rt.fork(th, [&, th](ct::context& ctx) -> ct::task<void> {
-        for (std::uint64_t i = 0; i < cfg.iterations; ++i) {
-          co_await lk->lock(ctx);
-          co_await ctx.compute(cfg.cs_length);
-          co_await lk->unlock(ctx);
-          co_await ctx.compute(cfg.think_time + sim::microseconds(11.0 * th));
-        }
-      });
-    }
-    const auto run = rt.run_all();
-    const auto* net = rt.mach().network();
-    return cell{run.end_time.ms(), lk->stats().wait_time_us().mean(),
-                rt.mach().total_queue_delay().ms(),
-                net ? net->total_switch_delay().ms() : -1.0};
-  });
-
   table t({"interconnect", "lock", "elapsed (ms)", "mean wait (us)",
            "module queue delay (ms)", "switch delay (ms)"});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    t.row({points[i].staged ? "butterfly (staged)" : "constant wire",
-           locks::to_string(points[i].kind), table::num(cells[i].elapsed_ms, 2),
-           table::num(cells[i].mean_wait_us, 0), table::num(cells[i].queue_delay_ms, 2),
-           cells[i].switch_delay_ms >= 0 ? table::num(cells[i].switch_delay_ms, 2)
-                                         : std::string("-")});
+  for (const auto& r : perf::interconnect_ablation(shape)) {
+    t.row({r.staged ? "butterfly (staged)" : "constant wire", locks::to_string(r.kind),
+           table::num(r.elapsed_ms, 2), table::num(r.mean_wait_us, 0),
+           table::num(r.queue_delay_ms, 2),
+           r.switch_delay_ms ? table::num(*r.switch_delay_ms, 2) : std::string("-")});
   }
   t.print();
   std::printf("\nexpected shape: the staged network adds switch queueing on top of "

@@ -8,52 +8,27 @@ int main(int argc, char** argv) {
   using namespace adx;
   using bench::table;
 
+  perf::threshold_shape shape;
   auto opt = bench::bench_sweep_options(argv, "ablation: simple-adapt constants sweep")
-                 .u64("cities", 32, "TSP problem size")
-                 .u64("seed", 9001, "instance seed");
+                 .u64("cities", shape.cities, "TSP problem size")
+                 .u64("seed", shape.seed, "instance seed");
   opt.parse(argc, argv);
-  const auto cities = static_cast<unsigned>(opt.get_u64("cities"));
-  const auto seed = opt.get_u64("seed");
-  const auto inst = tsp::instance::random_asymmetric(static_cast<int>(cities), seed);
+  shape.cities = static_cast<unsigned>(opt.get_u64("cities"));
+  shape.seed = opt.get_u64("seed");
+  shape.jobs = bench::jobs_from(opt);
 
   std::printf("Ablation: simple-adapt Waiting-Threshold x n on centralized TSP\n"
               "(%u cities, seed %llu, 10 processors, adaptive locks)\n\n",
-              cities, static_cast<unsigned long long>(seed));
+              shape.cities, static_cast<unsigned long long>(shape.seed));
 
-  // Sweep grid: job 0 is the blocking baseline, jobs 1.. the threshold x n
-  // combinations — all independent TSP runs, fanned out across host cores.
-  struct point {
-    std::int64_t threshold;
-    std::int64_t n;
-  };
-  std::vector<point> points{{0, 0}};  // [0] = baseline marker
-  for (const std::int64_t threshold : {1, 4, 12, 24}) {
-    for (const std::int64_t n : {5, 20, 60}) points.push_back({threshold, n});
-  }
-  struct cell {
-    double elapsed_ms;
-    double mean_wait_us;
-  };
-  exec::job_executor ex(bench::jobs_from(opt));
-  const auto cells = ex.map(points.size(), [&](std::size_t i) {
-    auto cfg = bench::tsp_cfg(tsp::variant::centralized,
-                              i == 0 ? locks::lock_kind::blocking
-                                     : locks::lock_kind::adaptive,
-                              10);
-    if (i != 0) {
-      cfg.run.params.adapt.waiting_threshold = points[i].threshold;
-      cfg.run.params.adapt.n = points[i].n;
-    }
-    const auto r = tsp::solve_parallel(inst, cfg);
-    return cell{r.elapsed.ms(), r.lock_reports[0].mean_wait_us};
-  });
-
-  std::printf("blocking-lock baseline: %.0f ms\n\n", cells[0].elapsed_ms);
+  const auto rows = perf::threshold_ablation(shape);
+  std::printf("blocking-lock baseline: %.0f ms\n\n", rows.front().elapsed_ms);
 
   table t({"Waiting-Threshold", "n", "elapsed (ms)", "qlock mean wait (us)"});
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    t.row({std::to_string(points[i].threshold), std::to_string(points[i].n),
-           table::num(cells[i].elapsed_ms, 0), table::num(cells[i].mean_wait_us, 0)});
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    const auto& r = rows[i];
+    t.row({std::to_string(r.threshold), std::to_string(r.n), table::num(r.elapsed_ms, 0),
+           table::num(r.qlock_mean_wait_us, 0)});
   }
   t.print();
   std::printf("\nexpected shape: tiny thresholds push the hot qlock to pure blocking "

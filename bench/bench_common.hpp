@@ -1,7 +1,7 @@
-// Shared helpers for the benchmark harness: paper-vs-measured row printing
-// and the locking-pattern runner (Figures 4-9). The measurement cores (TSP
-// experiment runner, micro-cost probes) live in perf/probes.hpp, shared with
-// the adx-bench scenario registry.
+// Shared helpers for the benchmark harness: flag parsing and paper-vs-measured
+// printing, including the Tables 1-3 and Figures 4-9 printers. The
+// experiments themselves live in perf/experiments.hpp, shared with the
+// adx-bench scenario registry.
 //
 // Every bench declares its flags through the shared `adx::cli::options`
 // parser (see bench_options below): each binary gets a generated `--help`
@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <vector>
@@ -25,7 +26,7 @@
 #include "locks/factory.hpp"
 #include "obs/report_sink.hpp"
 #include "obs/tracer.hpp"
-#include "perf/probes.hpp"
+#include "perf/experiments.hpp"
 #include "tsp/parallel.hpp"
 
 namespace adx::bench {
@@ -97,6 +98,32 @@ inline obs::report_format parse_format_only(int argc, char** argv,
   return report_format_from(opt);
 }
 
+/// One paper row of the Tables 4-8 layout: an operation's published cost
+/// (us) with the lock word local and remote; a negative remote prints "-".
+struct paper_cost {
+  const char* name;
+  double local;
+  double remote;
+};
+
+/// Renders the Tables 4-8 layout: each paper row beside the measured row of
+/// the same index, honouring `--format=table|csv|json`.
+inline void emit_cost_table(obs::report_format fmt, const char* title, const char* first_col,
+                            const char* preamble, std::initializer_list<paper_cost> paper,
+                            const std::vector<perf::cost_row>& measured) {
+  table t({first_col, "paper local", "meas. local", "paper remote", "meas. remote"});
+  t.title(title);
+  if (preamble != nullptr) t.preamble(preamble);
+  auto m = measured.begin();
+  for (const auto& p : paper) {
+    const bool remote = p.remote >= 0;
+    t.row({p.name, table::num(p.local), table::num(m->local_us),
+           remote ? table::num(p.remote) : "-", remote ? table::num(m->remote_us) : "-"});
+    ++m;
+  }
+  t.emit(fmt);
+}
+
 /// printf into a std::string, for report preamble/note lines.
 [[gnu::format(printf, 1, 2)]] inline std::string strf(const char* fmt, ...) {
   std::va_list ap;
@@ -111,34 +138,22 @@ inline obs::report_format parse_format_only(int argc, char** argv,
   return out;
 }
 
-// The measurement cores live in perf/probes.hpp (shared with the adx-bench
-// scenario registry); benches keep their historical adx::bench:: names.
-using perf::default_seeds;
-using perf::op_times;
-using perf::run_tsp;
-using perf::sequential_virtual_ms;
-using perf::time_cycle_us;
-using perf::time_lock_ops;
-using perf::tsp_cfg;
-using perf::tsp_summary;
-
 /// Prints the standard Tables 1-3 layout (paper row + measured row) through a
 /// report_sink, honouring `--format=table|csv|json`.
 inline void print_tsp_table(const char* title, tsp::variant v, int paper_blocking_ms,
                             int paper_adaptive_ms, double paper_improvement,
                             int paper_sequential_ms, int argc, char** argv) {
+  perf::tsp_table_shape shape;
   auto opt = bench_options(argv, title)
-                 .u64("cities", 32, "TSP problem size")
-                 .u64("processors", 10, "processors (one searcher thread each)")
+                 .u64("cities", shape.cities, "TSP problem size")
+                 .u64("processors", shape.processors, "processors (one searcher thread each)")
                  .str("format", "table", "report format: table|csv|json");
   opt.parse(argc, argv);
   const auto fmt = report_format_from(opt);
-  const auto cities = static_cast<unsigned>(opt.get_u64("cities"));
-  const auto processors = static_cast<unsigned>(opt.get_u64("processors"));
-  const auto seeds = default_seeds();
+  shape.cities = static_cast<unsigned>(opt.get_u64("cities"));
+  shape.processors = static_cast<unsigned>(opt.get_u64("processors"));
 
-  const auto blocking = run_tsp(v, locks::lock_kind::blocking, cities, processors, seeds);
-  const auto adaptive = run_tsp(v, locks::lock_kind::adaptive, cities, processors, seeds);
+  const auto [seq_ms, blocking, adaptive] = perf::tsp_table(v, shape);
   const double improvement = (blocking.mean_ms - adaptive.mean_ms) / blocking.mean_ms;
 
   table t({"", "sequential (ms)", "blocking lock (ms)", "adaptive lock (ms)",
@@ -146,14 +161,11 @@ inline void print_tsp_table(const char* title, tsp::variant v, int paper_blockin
   t.title(title);
   t.preamble(strf("(measured: %u cities, %u processors, 1 searcher thread/processor, "
                   "mean over %zu seeds)",
-                  cities, processors, seeds.size()));
+                  shape.cities, shape.processors, shape.seeds.size()));
   t.row({"paper (BBN GP1000)",
          paper_sequential_ms > 0 ? std::to_string(paper_sequential_ms) : "-",
          std::to_string(paper_blocking_ms), std::to_string(paper_adaptive_ms),
          table::pct(paper_improvement)});
-  const double seq_ms =
-      sequential_virtual_ms(cities, seeds.front(), tsp_cfg(v, locks::lock_kind::blocking,
-                                                           processors));
   t.row({"measured (simulator)", table::num(seq_ms, 0),
          table::num(blocking.mean_ms, 0),
          table::num(adaptive.mean_ms, 0), table::pct(improvement)});
@@ -188,50 +200,47 @@ inline void print_tsp_table(const char* title, tsp::variant v, int paper_blockin
 /// overrides it either way.
 inline void print_pattern_figure(const char* title, tsp::variant v, bool qlock,
                                  int argc, char** argv) {
+  perf::pattern_shape shape;
   auto opt = bench_options(argv, title)
-                 .u64("cities", 32, "TSP problem size")
-                 .u64("processors", 10, "processors (one searcher thread each)")
-                 .u64("seed", 9001, "instance seed")
+                 .u64("cities", shape.cities, "TSP problem size")
+                 .u64("processors", shape.processors, "processors (one searcher thread each)")
+                 .u64("seed", shape.seed, "instance seed")
                  .str("trace-json", "", "write Chrome trace-event JSON to PATH")
                  .str("lock", "",
                       "lock kind to trace (default blocking; adaptive when tracing)")
                  .flag("csv", "also dump the raw waiting-count series as CSV");
   opt.parse(argc, argv);
-  const auto cities = static_cast<unsigned>(opt.get_u64("cities"));
-  const auto processors = static_cast<unsigned>(opt.get_u64("processors"));
-  const auto seed = opt.get_u64("seed");
+  shape.cities = static_cast<unsigned>(opt.get_u64("cities"));
+  shape.processors = static_cast<unsigned>(opt.get_u64("processors"));
+  shape.seed = opt.get_u64("seed");
   const auto& trace_path = opt.get_str("trace-json");
   const auto lock_name =
       !opt.get_str("lock").empty()
           ? opt.get_str("lock")
           : std::string(trace_path.empty() ? "blocking" : "adaptive");
-  locks::lock_kind kind;
   try {
-    kind = locks::parse_lock_kind(lock_name);
+    shape.kind = locks::parse_lock_kind(lock_name);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "--lock: %s\n", e.what());
     std::exit(2);
   }
 
-  auto cfg = tsp_cfg(v, kind, processors);
-  cfg.record_patterns = true;
   obs::tracer tr;
   if (!trace_path.empty()) {
     tr.enable();
-    cfg.tracer = &tr;
+    shape.tracer = &tr;
   }
-  const auto inst = tsp::instance::random_asymmetric(static_cast<int>(cities), seed);
-  const auto r = tsp::solve_parallel(inst, cfg);
+  const auto r = perf::locking_pattern(v, shape);
   const auto& pattern = qlock ? r.qlock_pattern : r.act_pattern;
   const auto& report = qlock ? r.lock_reports[0] : r.lock_reports[2];
 
   std::printf("%s\n", title);
-  if (kind != locks::lock_kind::blocking) {
-    std::printf("(lock kind: %s)\n", locks::to_string(kind));
+  if (shape.kind != locks::lock_kind::blocking) {
+    std::printf("(lock kind: %s)\n", locks::to_string(shape.kind));
   }
   std::printf("(measured: %u cities, seed %llu, %u processors; waiting threads over "
               "virtual time)\n\n",
-              cities, static_cast<unsigned long long>(seed), processors);
+              shape.cities, static_cast<unsigned long long>(shape.seed), shape.processors);
   std::printf("%s\n", pattern.ascii_chart(r.elapsed).c_str());
   std::printf("requests %llu, contended %.1f%%, peak waiting %lld, mean wait %.0f us, "
               "run %.0f ms\n",

@@ -2,62 +2,32 @@
 // locks when processors >= threads; with multiple runnable threads per
 // processor, blocking wins even for fairly small critical sections.
 #include "bench_common.hpp"
-#include "workload/cs_workload.hpp"
 
 int main(int argc, char** argv) {
   using namespace adx;
   using bench::table;
 
+  perf::spin_vs_block_shape shape;
   auto opt = bench::bench_sweep_options(argv, "extension: spin vs. blocking")
-                 .u64("iterations", 150, "lock cycles per thread");
+                 .u64("iterations", shape.iterations, "lock cycles per thread");
   opt.parse(argc, argv);
-  const auto iters = opt.get_u64("iterations");
+  shape.iterations = opt.get_u64("iterations");
+  shape.jobs = bench::jobs_from(opt);
 
   std::printf("Extension: spin vs. blocking by threads-per-processor (ms)\n"
               "(one shared lock, CS 100 us; pure spin livelocks when spinners "
               "and the owner share a processor, so spin only runs at 1 "
               "thread/processor; combined(25) stands in above that)\n\n");
 
-  struct shape {
-    unsigned threads;
-    unsigned procs;
-  };
-  const shape shapes[] = {{6, 6}, {12, 6}, {18, 6}};
-  const locks::lock_kind col_kinds[] = {locks::lock_kind::spin,
-                                        locks::lock_kind::combined,
-                                        locks::lock_kind::blocking};
-  // Flatten the shape x lock grid; the spin column only runs when threads <=
-  // processors (pure spin livelocks under multiprogramming), returning a
-  // sentinel instead. Every other point is an independent simulation.
-  exec::job_executor ex(bench::jobs_from(opt));
-  const auto grid = ex.map(
-      std::size(shapes) * std::size(col_kinds), [&](std::size_t i) {
-        const auto& s = shapes[i / std::size(col_kinds)];
-        const auto kind = col_kinds[i % std::size(col_kinds)];
-        if (kind == locks::lock_kind::spin && s.threads > s.procs) return 1e300;
-        workload::cs_config c;
-        c.processors = s.procs;
-        c.threads = s.threads;
-        c.iterations = iters;
-        c.cs_length = sim::microseconds(100);
-        c.think_time = sim::microseconds(300);
-        c.kind = kind;
-        if (kind == locks::lock_kind::combined) c.params.combined_spin_limit = 25;
-        return run_cs_workload(c).elapsed.ms();
-      });
-
   table t({"threads / processors", "spin", "combined(25)", "blocking", "winner"});
-  for (std::size_t si = 0; si < std::size(shapes); ++si) {
-    const auto& s = shapes[si];
-    const double spin_ms = grid[si * std::size(col_kinds) + 0];
-    const double comb_ms = grid[si * std::size(col_kinds) + 1];
-    const double block_ms = grid[si * std::size(col_kinds) + 2];
-    const char* winner = spin_ms < comb_ms && spin_ms < block_ms ? "spin"
-                         : comb_ms < block_ms                    ? "combined"
-                                                                 : "blocking";
-    t.row({std::to_string(s.threads) + " / " + std::to_string(s.procs),
-           spin_ms < 1e300 ? table::num(spin_ms, 1) : std::string("(livelock)"),
-           table::num(comb_ms, 1), table::num(block_ms, 1), winner});
+  for (const auto& r : perf::spin_vs_block(shape)) {
+    const bool spin_wins = r.spin_ms && *r.spin_ms < r.combined_ms && *r.spin_ms < r.blocking_ms;
+    const char* winner = spin_wins                       ? "spin"
+                         : r.combined_ms < r.blocking_ms ? "combined"
+                                                         : "blocking";
+    t.row({std::to_string(r.threads) + " / " + std::to_string(r.processors),
+           r.spin_ms ? table::num(*r.spin_ms, 1) : std::string("(livelock)"),
+           table::num(r.combined_ms, 1), table::num(r.blocking_ms, 1), winner});
   }
   t.print();
   std::printf("\nexpected shape: spin wins at 1 thread/processor; blocking-capable "

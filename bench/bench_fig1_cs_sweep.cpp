@@ -7,78 +7,49 @@
 // spin-50 is worse than spin-10 at the same lengths — the optimal spin count
 // depends on the application, which motivates adaptation.
 #include "bench_common.hpp"
-#include "workload/cs_workload.hpp"
 
 int main(int argc, char** argv) {
   using namespace adx;
   using bench::table;
 
+  perf::cs_sweep_shape shape;
   auto opt = bench::bench_sweep_options(argv, "Figure 1: CS length sweep")
-                 .u64("processors", 6, "simulated processors")
-                 .u64("threads", 12, "threads (multiprogrammed when > processors)")
-                 .u64("iterations", 120, "lock cycles per thread");
+                 .u64("processors", shape.processors, "simulated processors")
+                 .u64("threads", shape.threads,
+                      "threads (multiprogrammed when > processors)")
+                 .u64("iterations", shape.iterations, "lock cycles per thread");
   opt.parse(argc, argv);
-  const auto procs = static_cast<unsigned>(opt.get_u64("processors"));
-  const auto threads = static_cast<unsigned>(opt.get_u64("threads"));
-  const auto iters = opt.get_u64("iterations");
+  shape.processors = static_cast<unsigned>(opt.get_u64("processors"));
+  shape.threads = static_cast<unsigned>(opt.get_u64("threads"));
+  shape.iterations = opt.get_u64("iterations");
+  shape.jobs = bench::jobs_from(opt);
 
   std::printf("Figure 1: CS length vs. application execution time (ms)\n"
               "(%u threads on %u processors, %llu lock cycles per thread; "
               "combined(k) = spin k times then block)\n\n",
-              threads, procs, static_cast<unsigned long long>(iters));
+              shape.threads, shape.processors,
+              static_cast<unsigned long long>(shape.iterations));
 
-  const double cs_lengths_us[] = {10, 25, 50, 100, 200, 400, 800, 1600};
-
-  struct lock_col {
-    const char* name;
-    locks::lock_kind kind;
-    std::int64_t spin_limit;
-  };
-  const lock_col cols[] = {
-      {"blocking", locks::lock_kind::blocking, 0},
-      {"combined(1)", locks::lock_kind::combined, 1},
-      {"combined(10)", locks::lock_kind::combined, 10},
-      {"combined(50)", locks::lock_kind::combined, 50},
-      {"adaptive", locks::lock_kind::adaptive, 0},
-  };
-
-  // The sweep grid, flattened row-major (CS length x lock column) into one
-  // job list: every point is an independent simulation, so the whole figure
-  // fans out across host cores and reassembles by index.
-  std::vector<workload::cs_config> grid;
-  for (const double cs : cs_lengths_us) {
-    for (const auto& col : cols) {
-      workload::cs_config cfg;
-      cfg.processors = procs;
-      cfg.threads = threads;
-      cfg.iterations = iters;
-      cfg.cs_length = sim::microseconds(cs);
-      cfg.think_time = sim::microseconds(3 * cs + 100);
-      cfg.kind = col.kind;
-      cfg.params.combined_spin_limit = col.spin_limit;
-      // Multiprogramming-appropriate adaptation constants: with threads >
-      // processors, long pure-spin phases steal cycles from runnable peers,
-      // so cap the spin budget low and recover from it in one sample.
-      cfg.params.adapt = {2, 25, 50, 2};
-      grid.push_back(cfg);
-    }
+  std::vector<std::string> cols{"blocking"};
+  for (const auto k : shape.combined_spins) {
+    cols.push_back("combined(" + std::to_string(k) + ")");
   }
-  exec::job_executor ex(bench::jobs_from(opt));
-  const auto sweep = run_cs_sweep(grid, ex);
+  cols.push_back("adaptive");
+  const auto sweep = perf::cs_sweep(shape);
 
-  table t({"CS length (us)", "blocking", "combined(1)", "combined(10)", "combined(50)",
-           "adaptive"});
-  // For the winner summary.
-  std::vector<std::vector<double>> results;
-  for (std::size_t r = 0; r < std::size(cs_lengths_us); ++r) {
-    std::vector<std::string> row{table::num(cs_lengths_us[r], 0)};
-    std::vector<double> times;
-    for (std::size_t c = 0; c < std::size(cols); ++c) {
-      const double ms = sweep[r * std::size(cols) + c].elapsed.ms();
+  std::vector<std::string> header{"CS length (us)"};
+  header.insert(header.end(), cols.begin(), cols.end());
+  table t(header);
+  std::vector<std::size_t> winners;
+  for (std::size_t r = 0; r < shape.cs_lengths_us.size(); ++r) {
+    std::vector<std::string> row{table::num(shape.cs_lengths_us[r], 0)};
+    std::size_t best = 0;
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      const double ms = sweep[r * cols.size() + c].elapsed.ms();
       row.push_back(table::num(ms, 1));
-      times.push_back(ms);
+      if (ms < sweep[r * cols.size() + best].elapsed.ms()) best = c;
     }
-    results.push_back(times);
+    winners.push_back(best);
     t.row(std::move(row));
   }
   t.print();
@@ -86,12 +57,8 @@ int main(int argc, char** argv) {
   std::printf("\n(note: the paper's Figure 1 plots the static locks only; the "
               "adaptive column is this library's addition)\n");
   std::printf("winner per CS length:");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < results[i].size(); ++c) {
-      if (results[i][c] < results[i][best]) best = c;
-    }
-    std::printf(" %.0fus->%s", cs_lengths_us[i], cols[best].name);
+  for (std::size_t r = 0; r < winners.size(); ++r) {
+    std::printf(" %.0fus->%s", shape.cs_lengths_us[r], cols[winners[r]].c_str());
   }
   std::printf("\n(the paper's point: no single static spin count wins everywhere; "
               "the adaptive lock tracks the best column)\n");

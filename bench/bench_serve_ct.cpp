@@ -16,26 +16,28 @@
 
 #include "bench_common.hpp"
 #include "telemetry/client.hpp"
-#include "workload/ct_serve.hpp"
 
 int main(int argc, char** argv) {
   using namespace adx;
   using bench::table;
 
+  perf::serve_ct_shape shape;
   auto opt =
       bench::bench_sweep_options(argv, "Open-loop ct serving on fat_tree_hpc4096")
-          .u64("groups", 0,
+          .u64("groups", shape.groups,
                "NUMA groups; 0 = the 4096-node fat-tree preset (64x64)")
-          .u64("group_nodes", 8, "nodes per group (with --groups > 0)")
-          .u64("servers", 2, "server threads per group")
-          .u64("requests", 50, "requests per group")
-          .u64("interarrival_us", 80, "mean interarrival time per group (us)")
-          .u64("remote_pct", 25, "percent of arrivals that target another group")
-          .u64("service_us", 25, "lock-guarded service demand (us)")
-          .u64("burst_mult", 1,
+          .u64("group_nodes", shape.group_nodes, "nodes per group (with --groups > 0)")
+          .u64("servers", shape.servers, "server threads per group")
+          .u64("requests", shape.requests, "requests per group")
+          .u64("interarrival_us", shape.interarrival_us,
+               "mean interarrival time per group (us)")
+          .u64("remote_pct", shape.remote_pct,
+               "percent of arrivals that target another group")
+          .u64("service_us", shape.service_us, "lock-guarded service demand (us)")
+          .u64("burst_mult", shape.burst_mult,
                "arrival-rate multiplier in every other 30 ms period (1 = no bursts)")
-          .u64("shards", 8, "DES shards (virtual results identical for any value)")
-          .u64("seed", 42, "run seed (arrival processes + domain streams)")
+          .u64("shards", shape.shards, "DES shards (virtual results identical for any value)")
+          .u64("seed", shape.seed, "run seed (arrival processes + domain streams)")
           .flag("adaptive-lookahead",
                 "widen sync windows over quiet rounds (virtual results identical)")
           .str("telemetry", "",
@@ -60,69 +62,58 @@ int main(int argc, char** argv) {
     if (!tele) std::fprintf(stderr, "telemetry disabled: %s\n", terr.c_str());
   }
 
-  workload::ct_serve_config base;
-  const auto groups = static_cast<unsigned>(opt.get_u64("groups"));
-  base.machine = groups == 0
-                     ? sim::machine_config::fat_tree_hpc4096()
-                     : sim::machine_config::hierarchical_numa(
-                           groups, static_cast<unsigned>(opt.get_u64("group_nodes")));
-  base.servers_per_group = static_cast<unsigned>(opt.get_u64("servers"));
-  base.requests_per_group = opt.get_u64("requests");
-  base.mean_interarrival_us = static_cast<double>(opt.get_u64("interarrival_us"));
-  base.remote_fraction = static_cast<double>(opt.get_u64("remote_pct")) / 100.0;
-  base.service = sim::microseconds(static_cast<double>(opt.get_u64("service_us")));
-  base.burst_mult = static_cast<double>(opt.get_u64("burst_mult"));
-  base.seed = opt.get_u64("seed");
-  base.shards = bench::shards_from(opt);
-  base.adaptive_lookahead = opt.get_flag("adaptive-lookahead");
+  shape.groups = static_cast<unsigned>(opt.get_u64("groups"));
+  shape.group_nodes = static_cast<unsigned>(opt.get_u64("group_nodes"));
+  shape.servers = static_cast<unsigned>(opt.get_u64("servers"));
+  shape.requests = opt.get_u64("requests");
+  shape.interarrival_us = opt.get_u64("interarrival_us");
+  shape.remote_pct = opt.get_u64("remote_pct");
+  shape.service_us = opt.get_u64("service_us");
+  shape.burst_mult = opt.get_u64("burst_mult");
+  shape.seed = opt.get_u64("seed");
+  shape.shards = bench::shards_from(opt);
+  shape.adaptive_lookahead = opt.get_flag("adaptive-lookahead");
+  shape.jobs = bench::jobs_from(opt);
 
-  const locks::lock_kind kinds[] = {
-      locks::lock_kind::spin,
-      locks::lock_kind::blocking,
-      locks::lock_kind::adaptive,
-  };
-
-  exec::job_executor ex(bench::jobs_from(opt));
   std::fprintf(stderr,
                "(%u DES shards, %u workers%s, windowed conservative lookahead)\n",
-               base.shards, ex.jobs(),
-               base.adaptive_lookahead ? ", adaptive lookahead" : "");
+               shape.shards, shape.jobs,
+               shape.adaptive_lookahead ? ", adaptive lookahead" : "");
+
+  std::uint64_t kinds_done = 0;
+  obs::metrics m;  // cumulative across kinds: snapshots are latest-wins
+  const auto publish = [&](locks::lock_kind kind, const workload::ct_serve_result& r) {
+    if (!tele) return;
+    const std::string prefix = std::string("serve.") + locks::to_string(kind);
+    m.get_counter(prefix + ".served").set(r.served);
+    m.get_counter(prefix + ".remote").set(r.remote_requests);
+    m.get_counter(prefix + ".acquisitions").set(r.acquisitions);
+    m.get_counter(prefix + ".posts").set(r.posts);
+    m.set_histogram(prefix + ".latency_ns", r.latency);
+    tele->publish_metrics(m, r.elapsed.ns);
+    tele->publish_result(locks::to_string(kind), !r.completed || r.served != r.generated, "");
+    tele->publish_progress(++kinds_done, std::size(perf::kServeCtKinds), locks::to_string(kind));
+  };
+  std::vector<workload::ct_serve_result> rows;
+  try {
+    rows = perf::serve_ct(shape, publish);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   table t({"lock", "p50", "p99", "max", "served", "remote", "acquisitions",
            "blocks", "posts", "elapsed-ms"});
-  std::uint64_t kinds_done = 0;
-  obs::metrics m;  // cumulative across kinds: snapshots are latest-wins
-  for (const auto kind : kinds) {
-    auto cfg = base;
-    cfg.kind = kind;
-    workload::ct_serve_result r;
-    try {
-      r = run_ct_serve(cfg, &ex);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-    if (tele) {
-      const std::string prefix = std::string("serve.") + locks::to_string(kind);
-      m.get_counter(prefix + ".served").set(r.served);
-      m.get_counter(prefix + ".remote").set(r.remote_requests);
-      m.get_counter(prefix + ".acquisitions").set(r.acquisitions);
-      m.get_counter(prefix + ".posts").set(r.posts);
-      m.set_histogram(prefix + ".latency_ns", r.latency);
-      tele->publish_metrics(m, r.elapsed.ns);
-      tele->publish_result(locks::to_string(kind),
-                           !r.completed || r.served != r.generated, "");
-      tele->publish_progress(++kinds_done, std::size(kinds),
-                             locks::to_string(kind));
-    }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& r = rows[i];
+    const char* kind = locks::to_string(perf::kServeCtKinds[i]);
     if (!r.completed || r.served != r.generated) {
-      std::fprintf(stderr, "lock %s: served %llu of %llu requests\n",
-                   locks::to_string(kind),
+      std::fprintf(stderr, "lock %s: served %llu of %llu requests\n", kind,
                    static_cast<unsigned long long>(r.served),
                    static_cast<unsigned long long>(r.generated));
       return 1;
     }
-    t.row({locks::to_string(kind), table::num(r.latency_p50_us, 2),
+    t.row({kind, table::num(r.latency_p50_us, 2),
            table::num(r.latency_p99_us, 2), table::num(r.latency_max_us, 2),
            table::num(static_cast<double>(r.served), 0),
            table::num(static_cast<double>(r.remote_requests), 0),
@@ -131,6 +122,7 @@ int main(int argc, char** argv) {
            table::num(static_cast<double>(r.posts), 0),
            table::num(r.elapsed.ms(), 3)});
   }
+  const auto base = perf::serve_ct_config_of(shape);
   std::printf("Open-loop ct serving: request latency by lock kind (us)\n"
               "(%u groups x %u nodes, %u server threads/group, %llu requests/"
               "group, mean interarrival %.0fus%s, service %.0fus, %.0f%% remote)\n\n",

@@ -13,71 +13,63 @@
 // and for --adaptive-lookahead (horizon-only traffic); those knobs only
 // change wall-clock cost, so CI byte-diffs this report across all of them.
 #include "bench_common.hpp"
-#include "workload/sharded_cs.hpp"
 
 int main(int argc, char** argv) {
   using namespace adx;
   using bench::table;
 
+  perf::sharded_cs_shape shape;
   auto opt =
       bench::bench_sweep_options(argv, "Federated ct critical-section sweep")
-          .u64("groups", 4, "NUMA groups (one ct runtime each)")
-          .u64("group_nodes", 8, "nodes per NUMA group")
-          .u64("threads", 6, "client threads per group")
-          .u64("iterations", 40, "closed-loop iterations per client")
-          .u64("cs_us", 100, "critical-section length (us)")
-          .u64("think_us", 300, "mean think time between iterations (us)")
-          .u64("remote_every", 4, "post an echo to the next group every Nth iteration")
-          .u64("shards", 1, "DES shards (virtual results identical for any value)")
-          .u64("seed", 42, "run seed (think-time jitter + domain streams)")
+          .u64("groups", shape.groups, "NUMA groups (one ct runtime each)")
+          .u64("group_nodes", shape.group_nodes, "nodes per NUMA group")
+          .u64("threads", shape.threads, "client threads per group")
+          .u64("iterations", shape.iterations, "closed-loop iterations per client")
+          .u64("cs_us", shape.cs_us, "critical-section length (us)")
+          .u64("think_us", shape.think_us, "mean think time between iterations (us)")
+          .u64("remote_every", shape.remote_every,
+               "post an echo to the next group every Nth iteration")
+          .u64("shards", shape.shards, "DES shards (virtual results identical for any value)")
+          .u64("seed", shape.seed, "run seed (think-time jitter + domain streams)")
           .flag("adaptive-lookahead",
                 "widen sync windows over quiet rounds (virtual results identical)");
   opt.parse(argc, argv);
-
-  workload::sharded_cs_config base;
-  base.machine = sim::machine_config::hierarchical_numa(
-      static_cast<unsigned>(opt.get_u64("groups")),
-      static_cast<unsigned>(opt.get_u64("group_nodes")));
-  base.threads_per_group = static_cast<unsigned>(opt.get_u64("threads"));
-  base.iterations = opt.get_u64("iterations");
-  base.cs_length = sim::microseconds(static_cast<double>(opt.get_u64("cs_us")));
-  base.think_time = sim::microseconds(static_cast<double>(opt.get_u64("think_us")));
-  base.remote_every = opt.get_u64("remote_every");
-  base.seed = opt.get_u64("seed");
-  base.shards = bench::shards_from(opt);
-  base.adaptive_lookahead = opt.get_flag("adaptive-lookahead");
-
-  const locks::lock_kind kinds[] = {
-      locks::lock_kind::spin,     locks::lock_kind::blocking,
-      locks::lock_kind::combined, locks::lock_kind::adaptive,
-  };
+  shape.groups = static_cast<unsigned>(opt.get_u64("groups"));
+  shape.group_nodes = static_cast<unsigned>(opt.get_u64("group_nodes"));
+  shape.threads = static_cast<unsigned>(opt.get_u64("threads"));
+  shape.iterations = opt.get_u64("iterations");
+  shape.cs_us = opt.get_u64("cs_us");
+  shape.think_us = opt.get_u64("think_us");
+  shape.remote_every = opt.get_u64("remote_every");
+  shape.seed = opt.get_u64("seed");
+  shape.shards = bench::shards_from(opt);
+  shape.adaptive_lookahead = opt.get_flag("adaptive-lookahead");
+  shape.jobs = bench::jobs_from(opt);
 
   // The shard/worker/lookahead knobs go to stderr: stdout carries only
   // virtual-time results, so CI can byte-diff reports across all of them.
-  exec::job_executor ex(bench::jobs_from(opt));
   std::fprintf(stderr,
                "(%u DES shards, %u workers%s, windowed conservative lookahead)\n",
-               base.shards, ex.jobs(),
-               base.adaptive_lookahead ? ", adaptive lookahead" : "");
+               shape.shards, shape.jobs,
+               shape.adaptive_lookahead ? ", adaptive lookahead" : "");
 
+  std::vector<workload::sharded_cs_result> rows;
+  try {
+    rows = perf::sharded_cs_sweep(shape);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   table t({"lock", "elapsed-ms", "acquisitions", "blocks", "echoes",
            "echo-p99-us", "posts"});
-  for (const auto kind : kinds) {
-    auto cfg = base;
-    cfg.kind = kind;
-    workload::sharded_cs_result r;
-    try {
-      r = run_sharded_cs(cfg, &ex);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& r = rows[i];
+    const char* kind = locks::to_string(shape.kinds[i]);
     if (!r.completed) {
-      std::fprintf(stderr, "lock %s: run hit the event budget\n",
-                   locks::to_string(kind));
+      std::fprintf(stderr, "lock %s: run hit the event budget\n", kind);
       return 1;
     }
-    t.row({locks::to_string(kind), table::num(r.elapsed.ms(), 3),
+    t.row({kind, table::num(r.elapsed.ms(), 3),
            table::num(static_cast<double>(r.acquisitions), 0),
            table::num(static_cast<double>(r.blocks), 0),
            table::num(static_cast<double>(r.echoes), 0),
@@ -86,12 +78,11 @@ int main(int argc, char** argv) {
   }
   std::printf("Federated ct critical-section sweep (virtual time)\n"
               "(%u groups x %u nodes, %u client threads/group, %llu iterations, "
-              "CS %.0fus, echo every %llu)\n\n",
-              base.machine.groups(), base.machine.group_size,
-              base.threads_per_group,
-              static_cast<unsigned long long>(base.iterations),
-              base.cs_length.us(),
-              static_cast<unsigned long long>(base.remote_every));
+              "CS %lluus, echo every %llu)\n\n",
+              shape.groups, shape.group_nodes, shape.threads,
+              static_cast<unsigned long long>(shape.iterations),
+              static_cast<unsigned long long>(shape.cs_us),
+              static_cast<unsigned long long>(shape.remote_every));
   t.print();
 
   std::printf("\n(every cross-group influence — echo requests, replies, lock "

@@ -4,34 +4,15 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  using adx::bench::table;
-  using adx::locks::lock_kind;
-  const auto fmt = adx::bench::parse_format_only(argc, argv,
-                                                 "Table 4: lock-op cost");
-
-  struct row {
-    lock_kind kind;
-    const char* name;
-    double paper_local;
-    double paper_remote;
-  };
-  const row rows[] = {
-      {lock_kind::atomior, "atomior", 30.73, 33.86},
-      {lock_kind::spin, "spin-lock", 40.79, 41.10},
-      {lock_kind::backoff, "spin-with-backoff", 40.79, 41.15},
-      {lock_kind::blocking, "blocking-lock", 88.59, 91.73},
-      {lock_kind::adaptive, "adaptive lock", 40.79, 41.17},
-  };
-
-  table t({"lock type", "paper local", "meas. local", "paper remote", "meas. remote"});
-  t.title("Table 4: Cost of the Lock operation for different locks (us)");
-  t.preamble("(uncontended acquisition; lock word local vs. remote)");
-  for (const auto& r : rows) {
-    const auto local = adx::bench::time_lock_ops(r.kind, false);
-    const auto remote = adx::bench::time_lock_ops(r.kind, true);
-    t.row({r.name, table::num(r.paper_local), table::num(local.lock_us),
-           table::num(r.paper_remote), table::num(remote.lock_us)});
-  }
-  t.emit(fmt);
+  using namespace adx;
+  const auto fmt = bench::parse_format_only(argc, argv, "Table 4: lock-op cost");
+  bench::emit_cost_table(fmt, "Table 4: Cost of the Lock operation for different locks (us)",
+                         "lock type", "(uncontended acquisition; lock word local vs. remote)",
+                         {{"atomior", 30.73, 33.86},
+                          {"spin-lock", 40.79, 41.10},
+                          {"spin-with-backoff", 40.79, 41.15},
+                          {"blocking-lock", 88.59, 91.73},
+                          {"adaptive lock", 40.79, 41.17}},
+                         perf::lock_op_costs({}).lock);
   return 0;
 }

@@ -6,55 +6,18 @@
 // monitor sample; the bench therefore reports the mean over a sample window.
 #include "bench_common.hpp"
 
-namespace {
-
-double mean_unlock_us(adx::locks::lock_kind k, bool remote, int reps = 8) {
-  using namespace adx;
-  ct::runtime rt(sim::machine_config::butterfly_gp1000());
-  const sim::node_id home = remote ? 7 : 0;
-  auto lk = locks::make_lock(k, home, locks::lock_cost_model::butterfly_cthreads());
-  double total = 0;
-  rt.fork(0, [&](ct::context& ctx) -> ct::task<void> {
-    for (int i = 0; i < reps; ++i) {
-      co_await lk->lock(ctx);
-      const auto t0 = ctx.now();
-      co_await lk->unlock(ctx);
-      total += (ctx.now() - t0).us();
-    }
-  });
-  rt.run_all();
-  return total / reps;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  using adx::bench::table;
-  using adx::locks::lock_kind;
-  const auto fmt = adx::bench::parse_format_only(argc, argv,
-                                                 "Table 5: unlock-op cost");
-
-  struct row {
-    lock_kind kind;
-    const char* name;
-    double paper_local;
-    double paper_remote;
-  };
-  const row rows[] = {
-      {lock_kind::spin, "spin-lock", 4.99, 7.23},
-      {lock_kind::backoff, "spin-with-backoff", 5.01, 7.25},
-      {lock_kind::blocking, "blocking-lock", 62.32, 73.45},
-      {lock_kind::adaptive, "adaptive lock", 50.07, 61.69},
-  };
-
-  table t({"lock type", "paper local", "meas. local", "paper remote", "meas. remote"});
-  t.title("Table 5: Cost of the Unlock operation for different locks (us)");
-  t.preamble("(uncontended; adaptive amortizes its every-2nd-unlock monitor "
-             "sample)");
-  for (const auto& r : rows) {
-    t.row({r.name, table::num(r.paper_local), table::num(mean_unlock_us(r.kind, false)),
-           table::num(r.paper_remote), table::num(mean_unlock_us(r.kind, true))});
-  }
-  t.emit(fmt);
+  using namespace adx;
+  const auto fmt = bench::parse_format_only(argc, argv, "Table 5: unlock-op cost");
+  const auto unlock = perf::lock_op_costs({}).unlock;
+  bench::emit_cost_table(fmt, "Table 5: Cost of the Unlock operation for different locks (us)",
+                         "lock type",
+                         "(uncontended; adaptive amortizes its every-2nd-unlock monitor "
+                         "sample)",
+                         {{"spin-lock", 4.99, 7.23},
+                          {"spin-with-backoff", 5.01, 7.25},
+                          {"blocking-lock", 62.32, 73.45},
+                          {"adaptive lock", 50.07, 61.69}},
+                         {unlock.begin() + 1, unlock.end()});  // the paper has no atomior row
   return 0;
 }

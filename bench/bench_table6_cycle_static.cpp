@@ -6,34 +6,14 @@
 
 int main(int argc, char** argv) {
   using namespace adx;
-  using bench::table;
-  const auto fmt = bench::parse_format_only(argc, argv,
-                                            "Table 6: static locking cycle");
-
-  struct row {
-    locks::lock_kind kind;
-    const char* name;
-    double paper_local;
-    double paper_remote;
-  };
-  const row rows[] = {
-      {locks::lock_kind::spin, "spin", 45.13, 47.89},
-      {locks::lock_kind::backoff, "spin-with-backoff", 320.36, 356.95},
-      {locks::lock_kind::blocking, "blocking-lock", 510.55, 563.79},
-  };
-
-  table t({"lock type", "paper local", "meas. local", "paper remote", "meas. remote"});
-  t.title("Table 6: Locking cycle (unlock then lock on a busy lock), static "
-          "locks (us)");
-  for (const auto& r : rows) {
-    const auto make = [&](ct::runtime&, sim::node_id home) {
-      return locks::make_lock(r.kind, home,
-                              locks::lock_cost_model::butterfly_cthreads());
-    };
-    t.row({r.name, table::num(r.paper_local),
-           table::num(bench::time_cycle_us(make, false)), table::num(r.paper_remote),
-           table::num(bench::time_cycle_us(make, true))});
-  }
-  t.emit(fmt);
+  const auto fmt = bench::parse_format_only(argc, argv, "Table 6: static locking cycle");
+  bench::emit_cost_table(fmt,
+                         "Table 6: Locking cycle (unlock then lock on a busy lock), static "
+                         "locks (us)",
+                         "lock type", nullptr,
+                         {{"spin", 45.13, 47.89},
+                          {"spin-with-backoff", 320.36, 356.95},
+                          {"blocking-lock", 510.55, 563.79}},
+                         perf::cycle_static());
   return 0;
 }

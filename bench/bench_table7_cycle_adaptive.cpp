@@ -6,36 +6,12 @@
 
 int main(int argc, char** argv) {
   using namespace adx;
-  using bench::table;
-  const auto fmt = bench::parse_format_only(argc, argv,
-                                            "Table 7: adaptive locking cycle");
-
-  struct row {
-    const char* name;
-    locks::waiting_policy policy;
-    double paper_local;
-    double paper_remote;
-  };
-  const row rows[] = {
-      {"configured as spin", locks::waiting_policy::pure_spin(4096), 90.21, 101.38},
-      {"configured as blocking", locks::waiting_policy::pure_sleep(), 565.16, 625.63},
-  };
-
-  table t({"configured as", "paper local", "meas. local", "paper remote",
-           "meas. remote"});
-  t.title("Table 7: Locking cycle of the adaptive lock by configuration (us)");
-  t.preamble("(adaptation disabled for the measurement: the policy is pinned)");
-  for (const auto& r : rows) {
-    const auto make = [&](ct::runtime&, sim::node_id home) {
-      // A reconfigurable lock pinned to the configuration (no monitor/policy
-      // feedback, exactly like an adaptive lock between adaptations).
-      return std::make_unique<locks::reconfigurable_lock>(
-          home, locks::lock_cost_model::butterfly_cthreads(), r.policy);
-    };
-    t.row({r.name, table::num(r.paper_local),
-           table::num(bench::time_cycle_us(make, false)), table::num(r.paper_remote),
-           table::num(bench::time_cycle_us(make, true))});
-  }
-  t.emit(fmt);
+  const auto fmt = bench::parse_format_only(argc, argv, "Table 7: adaptive locking cycle");
+  bench::emit_cost_table(fmt, "Table 7: Locking cycle of the adaptive lock by configuration (us)",
+                         "configured as",
+                         "(adaptation disabled for the measurement: the policy is pinned)",
+                         {{"configured as spin", 90.21, 101.38},
+                          {"configured as blocking", 565.16, 625.63}},
+                         perf::cycle_adaptive());
   return 0;
 }

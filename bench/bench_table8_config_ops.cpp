@@ -3,95 +3,15 @@
 // 12.51/20.83, monitor(one state variable) 66.03/- microseconds).
 #include "bench_common.hpp"
 
-namespace {
-
-using namespace adx;
-
-double time_acquisition(bool remote) {
-  ct::runtime rt(sim::machine_config::butterfly_gp1000());
-  locks::reconfigurable_lock lk(remote ? 7 : 0,
-                                locks::lock_cost_model::butterfly_cthreads());
-  double us = 0;
-  rt.fork(0, [&](ct::context& ctx) -> ct::task<void> {
-    const auto t0 = ctx.now();
-    (void)co_await lk.acquire_attribute(ctx, "spin-time", 1);
-    us = (ctx.now() - t0).us();
-  });
-  rt.run_all();
-  return us;
-}
-
-double time_configure_policy(bool remote) {
-  ct::runtime rt(sim::machine_config::butterfly_gp1000());
-  locks::reconfigurable_lock lk(remote ? 7 : 0,
-                                locks::lock_cost_model::butterfly_cthreads());
-  double us = 0;
-  rt.fork(0, [&](ct::context& ctx) -> ct::task<void> {
-    const auto t0 = ctx.now();
-    co_await lk.configure_waiting_policy(ctx, locks::waiting_policy::pure_spin(16));
-    us = (ctx.now() - t0).us();
-  });
-  rt.run_all();
-  return us;
-}
-
-double time_configure_scheduler(bool remote) {
-  ct::runtime rt(sim::machine_config::butterfly_gp1000());
-  locks::reconfigurable_lock lk(remote ? 7 : 0,
-                                locks::lock_cost_model::butterfly_cthreads());
-  double us = 0;
-  rt.fork(0, [&](ct::context& ctx) -> ct::task<void> {
-    const auto t0 = ctx.now();
-    co_await lk.configure_scheduler(ctx, std::make_unique<locks::priority_scheduler>());
-    us = (ctx.now() - t0).us();
-  });
-  rt.run_all();
-  return us;
-}
-
-double time_monitor_sample() {
-  // Cost of one monitor sample of one state variable, measured as the extra
-  // unlock-path time on a sampling unlock vs. a non-sampling one.
-  ct::runtime rt(sim::machine_config::butterfly_gp1000());
-  locks::simple_adapt_params p;
-  p.sample_period = 2;
-  locks::adaptive_lock lk(0, locks::lock_cost_model::butterfly_cthreads(), p,
-                          locks::waiting_policy::pure_spin(200));
-  double plain = 0;
-  double sampling = 0;
-  rt.fork(0, [&](ct::context& ctx) -> ct::task<void> {
-    co_await lk.lock(ctx);
-    auto t0 = ctx.now();
-    co_await lk.unlock(ctx);  // 1st unlock: no sample
-    plain = (ctx.now() - t0).us();
-    co_await lk.lock(ctx);
-    t0 = ctx.now();
-    co_await lk.unlock(ctx);  // 2nd unlock: sample + policy (no-op Ψ)
-    sampling = (ctx.now() - t0).us();
-  });
-  rt.run_all();
-  return sampling - plain;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  using bench::table;
-  const auto fmt = bench::parse_format_only(argc, argv,
-                                            "Table 8: configuration-op cost");
-
-  table t({"operation", "paper local", "meas. local", "paper remote", "meas. remote"});
-  t.title("Table 8: Cost of lock configuration operations (us)");
-  t.row({"acquisition", table::num(30.75), table::num(time_acquisition(false)),
-         table::num(33.92), table::num(time_acquisition(true))});
-  t.row({"configure(waiting policy)", table::num(9.87),
-         table::num(time_configure_policy(false)), table::num(14.45),
-         table::num(time_configure_policy(true))});
-  t.row({"configure(scheduler)", table::num(12.51),
-         table::num(time_configure_scheduler(false)), table::num(20.83),
-         table::num(time_configure_scheduler(true))});
-  t.row({"monitor (one state variable)", table::num(66.03),
-         table::num(time_monitor_sample()), "-", "-"});
-  t.emit(fmt);
+  using namespace adx;
+  const auto fmt = bench::parse_format_only(argc, argv, "Table 8: configuration-op cost");
+  bench::emit_cost_table(fmt, "Table 8: Cost of lock configuration operations (us)",
+                         "operation", nullptr,
+                         {{"acquisition", 30.75, 33.92},
+                          {"configure(waiting policy)", 9.87, 14.45},
+                          {"configure(scheduler)", 12.51, 20.83},
+                          {"monitor (one state variable)", 66.03, -1}},
+                         perf::config_op_costs());
   return 0;
 }

@@ -5,9 +5,7 @@ set(ADX_BENCH_DIR ${CMAKE_CURRENT_LIST_DIR})
 
 function(adx_bench name)
   add_executable(${name} ${ADX_BENCH_DIR}/${name}.cpp)
-  target_link_libraries(${name} PRIVATE
-    adx_sim adx_obs adx_telemetry adx_ct adx_core adx_locks adx_tsp adx_workload adx_apps
-    adx_native adx_exec)
+  target_link_libraries(${name} PRIVATE adx_perf adx_telemetry adx_apps adx_native)
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
@@ -46,14 +44,11 @@ adx_bench(bench_abl_sampling)
 adx_bench(bench_abl_threshold)
 adx_bench(bench_abl_coupling)
 adx_bench(bench_abl_async_policy)
-target_link_libraries(bench_abl_async_policy PRIVATE adx_policy)
 
 # Federated ct workloads on the execution domain (real threads, one runtime
 # per NUMA group, cross-shard traffic through federation::post).
 adx_bench(bench_sharded_cs)
 adx_bench(bench_serve_ct)
-target_link_libraries(bench_sharded_cs PRIVATE adx_policy)
-target_link_libraries(bench_serve_ct PRIVATE adx_policy)
 
 # Native real-thread backend (google-benchmark).
 adx_bench(bench_native_mutex)

@@ -255,11 +255,15 @@ compare_result compare_reports(const bench_report& current, const bench_report& 
         out.findings.push_back({finding_kind::missing_metric, bs.name, bm.name, 0, 0, 0});
         continue;
       }
+      // Every comparison below is false on NaN, so a non-finite median (or a
+      // wall metric's non-finite IQR) on either side would pass silently:
+      // it is a failure of its own.
+      const bool finite = std::isfinite(cm->stats.median) && std::isfinite(bm.stats.median);
       if (bm.clock == metric_clock::virtual_time) {
         // Exact: the baseline stores full precision, the simulator is
         // deterministic, so the only legitimate gap is zero. The epsilon
         // guards against a future emitter that rounds, nothing else.
-        if (relative_gap(cm->stats.median, bm.stats.median) > 1e-12) {
+        if (!finite || relative_gap(cm->stats.median, bm.stats.median) > 1e-12) {
           out.findings.push_back({finding_kind::virtual_divergence, bs.name, bm.name,
                                   bm.stats.median, cm->stats.median, bm.stats.median});
         }
@@ -273,7 +277,10 @@ compare_result compare_reports(const bench_report& current, const bench_report& 
       const double band = 1.5 * std::max(bm.stats.iqr, cm->stats.iqr);
       const double upper = bm.stats.median * (1.0 + frac) + band;
       const double lower = bm.stats.median * (1.0 - frac) - band;
-      if (cm->stats.median > upper) {
+      if (!finite || !std::isfinite(bm.stats.iqr) || !std::isfinite(cm->stats.iqr)) {
+        out.findings.push_back({finding_kind::wall_regression, bs.name, bm.name,
+                                bm.stats.median, cm->stats.median, upper});
+      } else if (cm->stats.median > upper) {
         out.findings.push_back({bm.higher_better ? finding_kind::wall_improvement
                                                  : finding_kind::wall_regression,
                                 bs.name, bm.name, bm.stats.median, cm->stats.median, upper});

@@ -14,6 +14,8 @@
 //   * wall-clock metrics — current median may exceed the baseline median by
 //     tolerance * baseline + an IQR-scaled noise band; only slowdowns beyond
 //     that fail. Improvements and new metrics are reported, never fatal.
+//   * a non-finite value on either side is fatal under the metric's clock
+//     (NaN would otherwise compare false against every bound and pass).
 #pragma once
 
 #include <map>

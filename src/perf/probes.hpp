@@ -1,9 +1,7 @@
-// Reusable measurement cores shared by the bench binaries and the adx-bench
-// scenario registry: the standard TSP experiment runner (Tables 1-3), the
-// lock/unlock micro-cost probes (Tables 4-5) and the locking-cycle probe
-// (Tables 6-7). Moved here from bench/bench_common.hpp so that scenarios can
-// run the exact same measurements the table benches print — one definition of
-// each experiment, two consumers.
+// Reusable measurement cores: the standard TSP experiment runner (Tables
+// 1-3), the lock/unlock micro-cost probes (Tables 4-5) and the locking-cycle
+// probe (Tables 6-7). The experiments in perf/experiments.hpp, which the bench
+// binaries and the adx-bench scenarios both run, are built from these.
 //
 // Everything here reports *virtual* time (the simulator's deterministic
 // clock) unless a name says otherwise; the perf runner layers host wall-time
@@ -92,26 +90,31 @@ inline double sequential_virtual_ms(unsigned cities, std::uint64_t seed,
   return compute_ms + words * word_us / 1000.0;
 }
 
-/// Times one lock/unlock op on a lock homed locally or remotely (Tables 4-5).
+/// Times uncontended lock/unlock ops on a lock homed locally or remotely
+/// (Tables 4-5): the first lock, and the mean of `unlock_reps` lock/unlock
+/// cycles' unlocks.
 struct op_times {
   double lock_us{0};
   double unlock_us{0};
 };
 
-inline op_times time_lock_ops(locks::lock_kind k, bool remote) {
+inline op_times time_lock_ops(locks::lock_kind k, bool remote, unsigned unlock_reps = 1) {
   ct::runtime rt(sim::machine_config::butterfly_gp1000());
   const sim::node_id home = remote ? 7 : 0;
   auto lk = locks::make_lock(k, home, locks::lock_cost_model::butterfly_cthreads());
   op_times out;
   rt.fork(0, [&](ct::context& ctx) -> ct::task<void> {
-    const auto t0 = ctx.now();
-    co_await lk->lock(ctx);
-    out.lock_us = (ctx.now() - t0).us();
-    const auto t1 = ctx.now();
-    co_await lk->unlock(ctx);
-    out.unlock_us = (ctx.now() - t1).us();
+    for (unsigned i = 0; i < unlock_reps; ++i) {
+      const auto t0 = ctx.now();
+      co_await lk->lock(ctx);
+      if (i == 0) out.lock_us = (ctx.now() - t0).us();
+      const auto t1 = ctx.now();
+      co_await lk->unlock(ctx);
+      out.unlock_us += (ctx.now() - t1).us();
+    }
   });
   rt.run_all();
+  out.unlock_us /= unlock_reps;
   return out;
 }
 

@@ -3,9 +3,12 @@
 // A scenario is a named, self-contained measurement: it runs one of the
 // paper's table/figure experiments (or an ablation / pure-simulator
 // microbench) at a fixed seed and reduced-but-representative shape, and
-// returns its metrics. Scenario names match the bench binaries they mirror
-// (bench_table7_cycle_adaptive, bench_fig1_cs_sweep, ...) so a regression
-// report points straight at the binary to rerun by hand.
+// returns its metrics. Where a bench binary prints the same experiment, the
+// scenario carries its name (bench_table7_cycle_adaptive, bench_fig1_cs_sweep,
+// ...; the three bench_serve_ct_* scenarios share bench_serve_ct) and both
+// run one function from perf/experiments.hpp, so a regression report points
+// straight at the binary to rerun by hand. The sim_* churns, bench_abl_policy,
+// bench_hashmap_* and bench_monitor_delegation have no binary.
 //
 // The runner (run_scenario) layers warmup + R timed repetitions on top of
 // each scenario body, measures host wall time around every repetition, and

@@ -1,33 +1,28 @@
-// Scenario definitions for adx-bench: every paper table, Figure 1, the six
-// locking-pattern figures, representative extension/ablation benches, and a
-// pure event-queue microbench. Shapes are reduced from the bench binaries'
-// defaults (fewer seeds, smaller instances) so a full sweep stays in CI
-// budget, but each scenario exercises the same code path as the binary it is
-// named after.
+// Scenario definitions for adx-bench. Most scenarios run an experiment that
+// also has a bench binary of the same name (the three bench_serve_ct_*
+// scenarios share bench_serve_ct): the experiment is defined once in
+// perf/experiments.hpp and run here at its CI-reduced shape, so these bodies
+// only name its rows as metrics. The rest have no binary and are defined
+// here: the two pure-simulator churns (sim_*), the adaptation-policy family
+// (bench_abl_policy), and the src/objects benches (bench_hashmap_*,
+// bench_monitor_delegation).
 //
 // Scenario bodies report virtual-clock metrics (deterministic for the fixed
 // seeds used here) plus wall-derived rates; the runner adds `wall_ns` around
-// every repetition. Micro-cost scenarios loop their probes several times per
+// every repetition. Micro-cost scenarios repeat their probes several times per
 // repetition so the wall measurement rises above scheduler jitter.
 #include "perf/scenario.hpp"
 
 #include <chrono>
 #include <memory>
+#include <utility>
 
-#include "locks/adaptive_lock.hpp"
-#include "locks/reconfigurable_lock.hpp"
-#include "locks/scheduler.hpp"
 #include "objects/adaptive_hash_map.hpp"
 #include "objects/adaptive_monitor.hpp"
-#include "perf/probes.hpp"
+#include "perf/experiments.hpp"
 #include "policy/registry.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sharded_event_queue.hpp"
-#include "tsp/instance.hpp"
-#include "tsp/parallel.hpp"
-#include "workload/cs_workload.hpp"
-#include "workload/ct_serve.hpp"
-#include "workload/sharded_cs.hpp"
 
 namespace adx::perf {
 namespace {
@@ -188,528 +183,245 @@ scenario_result run_sharded_queue_churn() {
 }
 
 // ---------------------------------------------------------------------------
-// Tail latency under open-loop load, served by real ct server threads
-// (src/workload/ct_serve) on each group's place-bound spin, blocking or
-// adaptive lock with default params. Light load is plain Poisson; the bursty
-// load multiplies the arrival rate by 8 in every other 30 ms period. All
-// latency quantiles and block counts are virtual-clock and gated exactly.
+// The experiments that also have a bench binary, run at their CI shapes
+// (perf/experiments.hpp). The bodies below only name the rows as metrics and
+// add wall-derived rates.
 // ---------------------------------------------------------------------------
 
-const struct {
-  const char* tag;
-  locks::lock_kind kind;
-} kSpinBlockAdaptive[] = {{"spin", locks::lock_kind::spin},
-                          {"blocking", locks::lock_kind::blocking},
-                          {"adaptive", locks::lock_kind::adaptive}};
-
-void push_tail(scenario_result& r, const std::string& p,
-               const workload::ct_serve_result& res) {
-  r.metrics.push_back({p + "_p50_us", "us", kVirtual, res.latency_p50_us});
-  r.metrics.push_back({p + "_p99_us", "us", kVirtual, res.latency_p99_us});
-  r.metrics.push_back({p + "_max_us", "us", kVirtual, res.latency_max_us});
-  r.metrics.push_back({p + "_blocks", "count", kVirtual,
-                       static_cast<double>(res.blocks)});
+void put(scenario_result& r, std::string name, const char* unit, double value) {
+  r.metrics.push_back({std::move(name), unit, kVirtual, value});
 }
 
-scenario_result run_serve_ct_bursty() {
-  const struct {
-    const char* tag;
-    double burst_mult;
-  } loads[] = {{"light", 1}, {"bursty", 8}};
-  scenario_result r;
-  double total_served = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& load : loads) {
-    for (const auto& k : kSpinBlockAdaptive) {
-      workload::ct_serve_config cfg;
-      cfg.machine = sim::machine_config::hierarchical_numa(8, 8);
-      cfg.servers_per_group = 8;  // one per node: lock queues can pass 4
-      cfg.requests_per_group = 1500;
-      cfg.mean_interarrival_us = 600;
-      cfg.burst_mult = load.burst_mult;
-      cfg.service = sim::microseconds(40);
-      cfg.remote_fraction = 0.10;
-      cfg.kind = k.kind;
-      cfg.shards = 4;
-      const auto res = run_ct_serve(cfg);
-      total_served += static_cast<double>(res.served);
-      push_tail(r, std::string(load.tag) + '_' + k.tag, res);
-    }
+/// Runs a cheap probe `n` times and keeps the (deterministic) last result,
+/// lifting the repetition's wall time above timer jitter.
+template <typename Fn>
+auto repeated(int n, Fn probe) {
+  auto out = probe();
+  for (int i = 1; i < n; ++i) out = probe();
+  return out;
+}
+
+/// Names the leading cost rows `prefix + name + "_local_us"` and `..._remote_us`.
+void put_costs(scenario_result& r, const std::string& prefix,
+               const std::vector<cost_row>& rows, std::initializer_list<const char*> names) {
+  auto row = rows.begin();
+  for (const char* name : names) {
+    put(r, prefix + name + "_local_us", "us", row->local_us);
+    put(r, prefix + name + "_remote_us", "us", row->remote_us);
+    ++row;
   }
-  const double wall_s = wall_seconds_since(t0);
-  r.metrics.push_back({"requests_per_sec", "req/s", kWall, total_served / wall_s,
-                       /*higher_better=*/true});
-  return r;
 }
 
-// The 1000+-node end-to-end: the hierarchical_numa() preset (1024 nodes, 32
-// groups) serving the bursty load on 8 DES shards.
-scenario_result run_serve_ct_tail_1024() {
-  scenario_result r;
-  double total_served = 0;
+scenario_result run_tsp_table(tsp::variant v) {
   const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& k : kSpinBlockAdaptive) {
-    workload::ct_serve_config cfg;
-    cfg.machine = sim::machine_config::hierarchical_numa();  // 32x32 = 1024 nodes
-    cfg.servers_per_group = 32;
-    cfg.requests_per_group = 400;
-    cfg.mean_interarrival_us = 600;
-    cfg.burst_mult = 8;
-    cfg.service = sim::microseconds(40);
-    cfg.remote_fraction = 0.10;
-    cfg.kind = k.kind;
-    cfg.shards = 8;
-    const auto res = run_ct_serve(cfg);
-    total_served += static_cast<double>(res.served);
-    push_tail(r, std::string("n1024_") + k.tag, res);
-    if (k.kind == locks::lock_kind::adaptive) {
-      r.metrics.push_back({"n1024_served", "count", kVirtual,
-                           static_cast<double>(res.served)});
-      r.metrics.push_back({"n1024_windows", "count", kVirtual,
-                           static_cast<double>(res.domain.windows)});
-      r.metrics.push_back({"n1024_cross_sends", "count", kVirtual,
-                           static_cast<double>(res.domain.cross_sends)});
-    }
-  }
+  const auto rows = tsp_table(v, kTspTableCi);
   const double wall_s = wall_seconds_since(t0);
-  r.metrics.push_back({"requests_per_sec", "req/s", kWall, total_served / wall_s,
-                       /*higher_better=*/true});
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Federated ct sweep: the fig1-style closed-loop community with REAL ct
-// threads, one runtime per NUMA group on the execution domain. Lock
-// handoffs, echo round-trips and policy pumps all cross shard boundaries
-// through federation::post(), and every reported figure is virtual-clock —
-// the baseline gate therefore also pins the cross-shard protocol itself
-// (elapsed times, echo quantiles and post counts are shard-invariant).
-// ---------------------------------------------------------------------------
-
-scenario_result run_ct_sharded_cs() {
-  scenario_result r;
-  double total_acquisitions = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  exec::job_executor ex(4);
-  for (const auto& k : kSpinBlockAdaptive) {
-    workload::sharded_cs_config cfg;
-    cfg.machine = sim::machine_config::hierarchical_numa(4, 6);
-    cfg.threads_per_group = 4;
-    cfg.iterations = 30;
-    cfg.remote_every = 3;
-    cfg.kind = k.kind;
-    cfg.shards = 4;
-    const auto res = run_sharded_cs(cfg, &ex);
-    total_acquisitions += static_cast<double>(res.acquisitions);
-    const std::string p = k.tag;
-    r.metrics.push_back({p + "_virtual_ms", "ms", kVirtual, res.elapsed.ms()});
-    r.metrics.push_back({p + "_echo_p99_us", "us", kVirtual, res.echo_rtt_p99_us});
-    r.metrics.push_back({p + "_acquisitions", "count", kVirtual,
-                         static_cast<double>(res.acquisitions)});
-    if (k.kind == locks::lock_kind::adaptive) {
-      r.metrics.push_back({"echoes", "count", kVirtual,
-                           static_cast<double>(res.echoes)});
-      r.metrics.push_back({"cross_posts", "count", kVirtual,
-                           static_cast<double>(res.posts)});
-      r.metrics.push_back({"windows", "count", kVirtual,
-                           static_cast<double>(res.domain.windows)});
-    }
-  }
-  const double wall_s = wall_seconds_since(t0);
-  r.metrics.push_back({"acquisitions_per_sec", "acq/s", kWall,
-                       total_acquisitions / wall_s,
-                       /*higher_better=*/true});
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// The 4096-node end-to-end: open-loop serving with real ct server threads on
-// the fat_tree_hpc4096 preset (64 groups x 64 nodes), one federated runtime
-// per group on 8 DES shards. The largest machine the repo simulates; latency
-// quantiles, served counts and cross-group post counts gate exactly.
-// ---------------------------------------------------------------------------
-
-scenario_result run_serve_ct_fat4096() {
-  scenario_result r;
-  double total_served = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  exec::job_executor ex(4);
-  for (const auto& k : kSpinBlockAdaptive) {
-    workload::ct_serve_config cfg;
-    cfg.machine = sim::machine_config::fat_tree_hpc4096();
-    cfg.servers_per_group = 2;
-    cfg.requests_per_group = 25;  // x64 groups = 1600 requests
-    cfg.mean_interarrival_us = 80;
-    cfg.remote_fraction = 0.25;
-    cfg.kind = k.kind;
-    cfg.shards = 8;
-    const auto res = run_ct_serve(cfg, &ex);
-    total_served += static_cast<double>(res.served);
-    const std::string p = std::string("fat4096_") + k.tag;
-    r.metrics.push_back({p + "_p50_us", "us", kVirtual, res.latency_p50_us});
-    r.metrics.push_back({p + "_p99_us", "us", kVirtual, res.latency_p99_us});
-    r.metrics.push_back({p + "_virtual_ms", "ms", kVirtual, res.elapsed.ms()});
-    if (k.kind == locks::lock_kind::adaptive) {
-      r.metrics.push_back({"fat4096_served", "count", kVirtual,
-                           static_cast<double>(res.served)});
-      r.metrics.push_back({"fat4096_remote", "count", kVirtual,
-                           static_cast<double>(res.remote_requests)});
-      r.metrics.push_back({"fat4096_posts", "count", kVirtual,
-                           static_cast<double>(res.posts)});
-      r.metrics.push_back({"fat4096_windows", "count", kVirtual,
-                           static_cast<double>(res.domain.windows)});
-    }
-  }
-  const double wall_s = wall_seconds_since(t0);
-  r.metrics.push_back({"requests_per_sec", "req/s", kWall, total_served / wall_s,
-                       /*higher_better=*/true});
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Tables 1-3: TSP blocking vs adaptive (reduced: 16 cities, 3 seeds).
-// ---------------------------------------------------------------------------
-
-scenario_result run_tsp_scenario(tsp::variant v) {
-  constexpr unsigned kCities = 16;
-  constexpr unsigned kProcessors = 8;
-  const std::vector<std::uint64_t> seeds = {9001, 1234, 777};
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto blocking = run_tsp(v, locks::lock_kind::blocking, kCities, kProcessors, seeds);
-  const auto adaptive = run_tsp(v, locks::lock_kind::adaptive, kCities, kProcessors, seeds);
-  const double wall_s = wall_seconds_since(t0);
-
   const double total_nodes =
-      static_cast<double>(blocking.mean_expansions + adaptive.mean_expansions) *
-      static_cast<double>(seeds.size());
+      static_cast<double>(rows.blocking.mean_expansions + rows.adaptive.mean_expansions) *
+      static_cast<double>(kTspTableCi.seeds.size());
 
   scenario_result r;
-  r.metrics.push_back({"blocking_virtual_ms", "ms", kVirtual, blocking.mean_ms});
-  r.metrics.push_back({"adaptive_virtual_ms", "ms", kVirtual, adaptive.mean_ms});
-  r.metrics.push_back({"improvement_frac", "frac", kVirtual,
-                       (blocking.mean_ms - adaptive.mean_ms) / blocking.mean_ms});
-  r.metrics.push_back({"expansions_blocking", "count", kVirtual,
-                       static_cast<double>(blocking.mean_expansions)});
-  r.metrics.push_back({"expansions_adaptive", "count", kVirtual,
-                       static_cast<double>(adaptive.mean_expansions)});
+  put(r, "blocking_virtual_ms", "ms", rows.blocking.mean_ms);
+  put(r, "adaptive_virtual_ms", "ms", rows.adaptive.mean_ms);
+  put(r, "improvement_frac", "frac",
+      (rows.blocking.mean_ms - rows.adaptive.mean_ms) / rows.blocking.mean_ms);
+  put(r, "expansions_blocking", "count", static_cast<double>(rows.blocking.mean_expansions));
+  put(r, "expansions_adaptive", "count", static_cast<double>(rows.adaptive.mean_expansions));
   r.metrics.push_back({"tsp_nodes_per_sec", "nodes/s", kWall, total_nodes / wall_s,
                        /*higher_better=*/true});
   return r;
 }
 
-// ---------------------------------------------------------------------------
-// Tables 4-5: lock/unlock op cost, every kind, local + remote.
-// ---------------------------------------------------------------------------
-
 scenario_result run_lock_op_costs(bool unlock_side) {
-  constexpr int kInner = 8;  // lift wall time above timer jitter
-  const struct {
-    locks::lock_kind kind;
-    const char* name;
-  } kinds[] = {
-      {locks::lock_kind::atomior, "atomior"},   {locks::lock_kind::spin, "spin"},
-      {locks::lock_kind::backoff, "backoff"},   {locks::lock_kind::blocking, "blocking"},
-      {locks::lock_kind::adaptive, "adaptive"},
-  };
+  const auto rows = repeated(8, [] { return lock_op_costs(kOpCostCi); });
   scenario_result r;
-  for (int i = 0; i < kInner; ++i) {
-    const bool record = i == 0;  // identical every iteration (deterministic)
-    for (const auto& k : kinds) {
-      const auto local = time_lock_ops(k.kind, false);
-      const auto remote = time_lock_ops(k.kind, true);
-      if (!record) continue;
-      const char* op = unlock_side ? "unlock" : "lock";
-      const double lv = unlock_side ? local.unlock_us : local.lock_us;
-      const double rv = unlock_side ? remote.unlock_us : remote.lock_us;
-      r.metrics.push_back({std::string(op) + '_' + k.name + "_local_us", "us", kVirtual, lv});
-      r.metrics.push_back({std::string(op) + '_' + k.name + "_remote_us", "us", kVirtual, rv});
-    }
-  }
+  put_costs(r, unlock_side ? "unlock_" : "lock_", unlock_side ? rows.unlock : rows.lock,
+            {"atomior", "spin", "backoff", "blocking", "adaptive"});
   return r;
 }
 
-// ---------------------------------------------------------------------------
-// Tables 6-7: the locking cycle (release-to-acquire with a waiter present).
-// ---------------------------------------------------------------------------
-
 scenario_result run_cycle_static() {
-  constexpr int kInner = 6;
-  const struct {
-    locks::lock_kind kind;
-    const char* name;
-  } kinds[] = {
-      {locks::lock_kind::spin, "spin"},
-      {locks::lock_kind::backoff, "backoff"},
-      {locks::lock_kind::blocking, "blocking"},
-  };
   scenario_result r;
-  for (int i = 0; i < kInner; ++i) {
-    const bool record = i == 0;
-    for (const auto& k : kinds) {
-      const auto make = [&](ct::runtime&, sim::node_id home) {
-        return locks::make_lock(k.kind, home, locks::lock_cost_model::butterfly_cthreads());
-      };
-      const double local = time_cycle_us(make, false);
-      const double remote = time_cycle_us(make, true);
-      if (!record) continue;
-      r.metrics.push_back({std::string("cycle_") + k.name + "_local_us", "us", kVirtual, local});
-      r.metrics.push_back({std::string("cycle_") + k.name + "_remote_us", "us", kVirtual, remote});
-    }
-  }
+  put_costs(r, "cycle_", repeated(6, cycle_static), {"spin", "backoff", "blocking"});
   return r;
 }
 
 scenario_result run_cycle_adaptive() {
-  constexpr int kInner = 20;  // small per-cycle cost: amortize timer jitter
-  const struct {
-    const char* name;
-    locks::waiting_policy policy;
-  } rows[] = {
-      {"as_spin", locks::waiting_policy::pure_spin(4096)},
-      {"as_blocking", locks::waiting_policy::pure_sleep()},
-  };
   scenario_result r;
-  for (int i = 0; i < kInner; ++i) {
-    const bool record = i == 0;
-    for (const auto& row : rows) {
-      const auto make = [&](ct::runtime&, sim::node_id home) {
-        // A reconfigurable lock pinned to the configuration (no monitor /
-        // policy feedback, exactly like an adaptive lock between adaptations).
-        return std::make_unique<locks::reconfigurable_lock>(
-            home, locks::lock_cost_model::butterfly_cthreads(), row.policy);
-      };
-      const double local = time_cycle_us(make, false);
-      const double remote = time_cycle_us(make, true);
-      if (!record) continue;
-      r.metrics.push_back({std::string("cycle_") + row.name + "_local_us", "us", kVirtual, local});
-      r.metrics.push_back({std::string("cycle_") + row.name + "_remote_us", "us", kVirtual, remote});
-    }
-  }
+  put_costs(r, "cycle_", repeated(20, cycle_adaptive), {"as_spin", "as_blocking"});
   return r;
-}
-
-// ---------------------------------------------------------------------------
-// Table 8: configuration-operation costs (Ψ machinery).
-// ---------------------------------------------------------------------------
-
-double time_config_acquisition(bool remote) {
-  ct::runtime rt(sim::machine_config::butterfly_gp1000());
-  locks::reconfigurable_lock lk(remote ? 7 : 0,
-                                locks::lock_cost_model::butterfly_cthreads());
-  double us = 0;
-  rt.fork(0, [&](ct::context& ctx) -> ct::task<void> {
-    const auto t0 = ctx.now();
-    (void)co_await lk.acquire_attribute(ctx, "spin-time", 1);
-    us = (ctx.now() - t0).us();
-  });
-  rt.run_all();
-  return us;
-}
-
-double time_config_policy(bool remote) {
-  ct::runtime rt(sim::machine_config::butterfly_gp1000());
-  locks::reconfigurable_lock lk(remote ? 7 : 0,
-                                locks::lock_cost_model::butterfly_cthreads());
-  double us = 0;
-  rt.fork(0, [&](ct::context& ctx) -> ct::task<void> {
-    const auto t0 = ctx.now();
-    co_await lk.configure_waiting_policy(ctx, locks::waiting_policy::pure_spin(16));
-    us = (ctx.now() - t0).us();
-  });
-  rt.run_all();
-  return us;
-}
-
-double time_config_scheduler(bool remote) {
-  ct::runtime rt(sim::machine_config::butterfly_gp1000());
-  locks::reconfigurable_lock lk(remote ? 7 : 0,
-                                locks::lock_cost_model::butterfly_cthreads());
-  double us = 0;
-  rt.fork(0, [&](ct::context& ctx) -> ct::task<void> {
-    const auto t0 = ctx.now();
-    co_await lk.configure_scheduler(ctx, std::make_unique<locks::priority_scheduler>());
-    us = (ctx.now() - t0).us();
-  });
-  rt.run_all();
-  return us;
 }
 
 scenario_result run_config_ops() {
-  constexpr int kInner = 8;
+  const auto rows = repeated(8, config_op_costs);
   scenario_result r;
-  for (int i = 0; i < kInner; ++i) {
-    const bool record = i == 0;
-    const double acq_l = time_config_acquisition(false);
-    const double acq_r = time_config_acquisition(true);
-    const double pol_l = time_config_policy(false);
-    const double pol_r = time_config_policy(true);
-    const double sch_l = time_config_scheduler(false);
-    const double sch_r = time_config_scheduler(true);
-    if (!record) continue;
-    r.metrics.push_back({"acquisition_local_us", "us", kVirtual, acq_l});
-    r.metrics.push_back({"acquisition_remote_us", "us", kVirtual, acq_r});
-    r.metrics.push_back({"configure_policy_local_us", "us", kVirtual, pol_l});
-    r.metrics.push_back({"configure_policy_remote_us", "us", kVirtual, pol_r});
-    r.metrics.push_back({"configure_scheduler_local_us", "us", kVirtual, sch_l});
-    r.metrics.push_back({"configure_scheduler_remote_us", "us", kVirtual, sch_r});
-  }
+  put_costs(r, "", rows, {"acquisition", "configure_policy", "configure_scheduler"});
+  put(r, "monitor_sample_local_us", "us", rows.back().local_us);
   return r;
 }
 
-// ---------------------------------------------------------------------------
-// Figure 1: critical-section-length sweep (reduced grid).
-// ---------------------------------------------------------------------------
-
 scenario_result run_fig1_cs_sweep() {
-  const double cs_lengths_us[] = {10, 100, 800};
-  const struct {
-    const char* name;
-    locks::lock_kind kind;
-    std::int64_t spin_limit;
-  } cols[] = {
-      {"blocking", locks::lock_kind::blocking, 0},
-      {"combined10", locks::lock_kind::combined, 10},
-      {"adaptive", locks::lock_kind::adaptive, 0},
-  };
+  const auto& shape = kCsSweepCi;
+  const auto grid = cs_sweep(shape);
+  std::vector<std::string> cols{"blocking"};
+  for (const auto k : shape.combined_spins) cols.push_back("combined" + std::to_string(k));
+  cols.push_back("adaptive");
+
   scenario_result r;
   double total_ms = 0;
   double total_blocks = 0;
-  for (const auto& col : cols) {
+  for (std::size_t c = 0; c < cols.size(); ++c) {
     double col_ms = 0;
-    for (const double cs : cs_lengths_us) {
-      workload::cs_config cfg;
-      cfg.processors = 6;
-      cfg.threads = 12;
-      cfg.iterations = 60;
-      cfg.cs_length = sim::microseconds(cs);
-      cfg.think_time = sim::microseconds(3 * cs + 100);
-      cfg.kind = col.kind;
-      cfg.params.combined_spin_limit = col.spin_limit;
-      // Multiprogramming-appropriate adaptation constants (as in the bench).
-      cfg.params.adapt = {2, 25, 50, 2};
-      const auto res = run_cs_workload(cfg);
+    for (std::size_t row = 0; row < shape.cs_lengths_us.size(); ++row) {
+      const auto& res = grid[row * cols.size() + c];
       col_ms += res.elapsed.ms();
       total_blocks += static_cast<double>(res.blocks);
     }
     total_ms += col_ms;
-    r.metrics.push_back({std::string(col.name) + "_virtual_ms", "ms", kVirtual, col_ms});
+    put(r, cols[c] + "_virtual_ms", "ms", col_ms);
   }
-  r.metrics.push_back({"total_virtual_ms", "ms", kVirtual, total_ms});
-  r.metrics.push_back({"total_blocks", "count", kVirtual, total_blocks});
+  put(r, "total_virtual_ms", "ms", total_ms);
+  put(r, "total_blocks", "count", total_blocks);
   return r;
 }
-
-// ---------------------------------------------------------------------------
-// Figures 4-9: TSP locking patterns (one recorded solve each).
-// ---------------------------------------------------------------------------
 
 scenario_result run_pattern_figure(tsp::variant v, bool qlock) {
-  auto cfg = tsp_cfg(v, locks::lock_kind::blocking, 10);
-  cfg.record_patterns = true;
-  const auto inst = tsp::instance::random_asymmetric(20, 9001);
-  const auto res = tsp::solve_parallel(inst, cfg);
+  const auto res = locking_pattern(v, kPatternCi);
   const auto& report = qlock ? res.lock_reports[0] : res.lock_reports[2];
-
   scenario_result r;
-  r.metrics.push_back({"elapsed_virtual_ms", "ms", kVirtual, res.elapsed.ms()});
-  r.metrics.push_back({"expansions", "count", kVirtual,
-                       static_cast<double>(res.expansions)});
-  r.metrics.push_back({"lock_requests", "count", kVirtual,
-                       static_cast<double>(report.requests)});
-  r.metrics.push_back({"contended_frac", "frac", kVirtual, report.contention_ratio});
-  r.metrics.push_back({"peak_waiting", "count", kVirtual,
-                       static_cast<double>(report.peak_waiting)});
+  put(r, "elapsed_virtual_ms", "ms", res.elapsed.ms());
+  put(r, "expansions", "count", static_cast<double>(res.expansions));
+  put(r, "lock_requests", "count", static_cast<double>(report.requests));
+  put(r, "contended_frac", "frac", report.contention_ratio);
+  put(r, "peak_waiting", "count", static_cast<double>(report.peak_waiting));
   return r;
 }
-
-// ---------------------------------------------------------------------------
-// Extension: spin vs. blocking by threads-per-processor (reduced).
-// ---------------------------------------------------------------------------
 
 scenario_result run_ext_spin_vs_block() {
   scenario_result r;
-  const struct {
-    unsigned threads;
-    unsigned procs;
-    const char* tag;
-  } shapes[] = {{6, 6, "1x"}, {12, 6, "2x"}, {18, 6, "3x"}};
-  for (const auto& s : shapes) {
-    workload::cs_config base;
-    base.processors = s.procs;
-    base.threads = s.threads;
-    base.iterations = 60;
-    base.cs_length = sim::microseconds(100);
-    base.think_time = sim::microseconds(300);
-    if (s.threads <= s.procs) {
-      auto c = base;
-      c.kind = locks::lock_kind::spin;
-      r.metrics.push_back({std::string("spin_") + s.tag + "_virtual_ms", "ms", kVirtual,
-                           run_cs_workload(c).elapsed.ms()});
-    }
-    auto cc = base;
-    cc.kind = locks::lock_kind::combined;
-    cc.params.combined_spin_limit = 25;
-    r.metrics.push_back({std::string("combined25_") + s.tag + "_virtual_ms", "ms", kVirtual,
-                         run_cs_workload(cc).elapsed.ms()});
-    auto cb = base;
-    cb.kind = locks::lock_kind::blocking;
-    r.metrics.push_back({std::string("blocking_") + s.tag + "_virtual_ms", "ms", kVirtual,
-                         run_cs_workload(cb).elapsed.ms()});
+  for (const auto& row : spin_vs_block(kSpinVsBlockCi)) {
+    const auto x = std::to_string(row.threads / row.processors) + "x_virtual_ms";
+    if (row.spin_ms) put(r, "spin_" + x, "ms", *row.spin_ms);
+    put(r, "combined25_" + x, "ms", row.combined_ms);
+    put(r, "blocking_" + x, "ms", row.blocking_ms);
   }
   return r;
 }
-
-// ---------------------------------------------------------------------------
-// Ablation: constant-wire vs. staged-butterfly interconnect (reduced).
-// ---------------------------------------------------------------------------
 
 scenario_result run_abl_interconnect() {
   scenario_result r;
-  for (const bool staged : {false, true}) {
-    for (const auto kind : {locks::lock_kind::spin, locks::lock_kind::adaptive}) {
-      workload::cs_config cfg;
-      cfg.processors = 10;
-      cfg.threads = 10;
-      cfg.iterations = 60;
-      cfg.cs_length = sim::microseconds(60);
-      cfg.think_time = sim::microseconds(150);
-      cfg.kind = kind;
-      cfg.params.adapt = {12, 20, 400, 2};
-      if (staged) cfg.machine.wire_model = sim::interconnect_model::butterfly;
-      const auto res = run_cs_workload(cfg);
-      r.metrics.push_back({std::string(staged ? "butterfly_" : "constant_") +
-                               locks::to_string(kind) + "_virtual_ms",
-                           "ms", kVirtual, res.elapsed.ms()});
-    }
+  for (const auto& row : interconnect_ablation(kInterconnectCi)) {
+    put(r, std::string(row.staged ? "butterfly_" : "constant_") + locks::to_string(row.kind) +
+            "_virtual_ms",
+        "ms", row.elapsed_ms);
   }
   return r;
 }
 
-// ---------------------------------------------------------------------------
-// Ablation: simple-adapt constants sweep (reduced grid).
-// ---------------------------------------------------------------------------
-
 scenario_result run_abl_threshold() {
-  constexpr unsigned kCities = 14;
-  const auto inst = tsp::instance::random_asymmetric(kCities, 9001);
+  const auto rows = threshold_ablation(kThresholdCi);
   scenario_result r;
-  {
-    auto cfg = tsp_cfg(tsp::variant::centralized, locks::lock_kind::blocking, 10);
-    const auto res = tsp::solve_parallel(inst, cfg);
-    r.metrics.push_back({"blocking_baseline_virtual_ms", "ms", kVirtual, res.elapsed.ms()});
+  put(r, "blocking_baseline_virtual_ms", "ms", rows.front().elapsed_ms);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    put(r, "t" + std::to_string(rows[i].threshold) + "_n" + std::to_string(rows[i].n) +
+               "_virtual_ms",
+        "ms", rows[i].elapsed_ms);
   }
-  for (const std::int64_t threshold : {1, 12}) {
-    for (const std::int64_t n : {5, 20}) {
-      auto cfg = tsp_cfg(tsp::variant::centralized, locks::lock_kind::adaptive, 10);
-      cfg.run.params.adapt.waiting_threshold = threshold;
-      cfg.run.params.adapt.n = n;
-      const auto res = tsp::solve_parallel(inst, cfg);
-      r.metrics.push_back({"t" + std::to_string(threshold) + "_n" + std::to_string(n) +
-                               "_virtual_ms",
-                           "ms", kVirtual, res.elapsed.ms()});
+  return r;
+}
+
+scenario_result run_abl_async_policy() {
+  const auto rows = async_policy_grid(kAsyncGridCi);
+  scenario_result r;
+  put(r, "sync_total_virtual_ms", "ms", rows.front().total_ms);
+  put(r, "async_total_virtual_ms", "ms", rows.back().total_ms);
+  put(r, "async_daemon_ticks", "count", static_cast<double>(rows.back().ticks));
+  put(r, "async_pumped", "count", static_cast<double>(rows.back().pumped));
+  return r;
+}
+
+scenario_result run_sharded_cs_sweep() {
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto rows = sharded_cs_sweep(kShardedCsCi);
+  const double wall_s = wall_seconds_since(t0);
+  scenario_result r;
+  double total_acquisitions = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::string p = locks::to_string(kShardedCsCi.kinds[i]);
+    total_acquisitions += static_cast<double>(rows[i].acquisitions);
+    put(r, p + "_virtual_ms", "ms", rows[i].elapsed.ms());
+    put(r, p + "_echo_p99_us", "us", rows[i].echo_rtt_p99_us);
+    put(r, p + "_acquisitions", "count", static_cast<double>(rows[i].acquisitions));
+  }
+  const auto& adaptive = rows.back();
+  put(r, "echoes", "count", static_cast<double>(adaptive.echoes));
+  put(r, "cross_posts", "count", static_cast<double>(adaptive.posts));
+  put(r, "windows", "count", static_cast<double>(adaptive.domain.windows));
+  r.metrics.push_back({"acquisitions_per_sec", "acq/s", kWall, total_acquisitions / wall_s,
+                       /*higher_better=*/true});
+  return r;
+}
+
+/// Runs `shape` and names each row `prefix + kind + "_p50_us"`, ...: latency
+/// quantiles plus either the tail (max, blocks) or the elapsed time. Returns
+/// the rows; adds their served count to `served`.
+std::vector<workload::ct_serve_result> put_serve(scenario_result& r, const serve_ct_shape& shape,
+                                                 const std::string& prefix, bool tail,
+                                                 double& served) {
+  auto rows = serve_ct(shape);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto p = prefix + locks::to_string(kServeCtKinds[i]);
+    served += static_cast<double>(rows[i].served);
+    put(r, p + "_p50_us", "us", rows[i].latency_p50_us);
+    put(r, p + "_p99_us", "us", rows[i].latency_p99_us);
+    if (tail) {
+      put(r, p + "_max_us", "us", rows[i].latency_max_us);
+      put(r, p + "_blocks", "count", static_cast<double>(rows[i].blocks));
+    } else {
+      put(r, p + "_virtual_ms", "ms", rows[i].elapsed.ms());
     }
   }
+  return rows;
+}
+
+void put_request_rate(scenario_result& r, double served,
+                      std::chrono::steady_clock::time_point t0) {
+  r.metrics.push_back({"requests_per_sec", "req/s", kWall, served / wall_seconds_since(t0),
+                       /*higher_better=*/true});
+}
+
+scenario_result run_serve_ct_bursty() {
+  scenario_result r;
+  double served = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  (void)put_serve(r, kServeCtLightCi, "light_", true, served);
+  (void)put_serve(r, kServeCtBurstyCi, "bursty_", true, served);
+  put_request_rate(r, served, t0);
+  return r;
+}
+
+scenario_result run_serve_ct_tail_1024() {
+  scenario_result r;
+  double served = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto adaptive = put_serve(r, kServeCtTail1024Ci, "n1024_", true, served).back();
+  put(r, "n1024_served", "count", static_cast<double>(adaptive.served));
+  put(r, "n1024_windows", "count", static_cast<double>(adaptive.domain.windows));
+  put(r, "n1024_cross_sends", "count", static_cast<double>(adaptive.domain.cross_sends));
+  put_request_rate(r, served, t0);
+  return r;
+}
+
+scenario_result run_serve_ct_fat4096() {
+  scenario_result r;
+  double served = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto adaptive = put_serve(r, kServeCtFat4096Ci, "fat4096_", false, served).back();
+  put(r, "fat4096_served", "count", static_cast<double>(adaptive.served));
+  put(r, "fat4096_remote", "count", static_cast<double>(adaptive.remote_requests));
+  put(r, "fat4096_posts", "count", static_cast<double>(adaptive.posts));
+  put(r, "fat4096_windows", "count", static_cast<double>(adaptive.domain.windows));
+  put_request_rate(r, served, t0);
   return r;
 }
 
@@ -759,51 +471,6 @@ scenario_result run_abl_policy() {
   return r;
 }
 
-// ---------------------------------------------------------------------------
-// Ablation: sync vs async policy execution (src/policy/runtime). The async
-// rows queue observations at the feedback point (zero inline policy cost)
-// and a daemon on a spare processor drains them periodically; all metrics
-// are virtual-clock and therefore gated exactly.
-// ---------------------------------------------------------------------------
-
-scenario_result run_abl_async_policy() {
-  const double cs_lengths_us[] = {10, 100, 800};
-  const struct {
-    const char* tag;
-    bool async;
-  } cols[] = {{"sync", false}, {"async", true}};
-  scenario_result r;
-  for (const auto& col : cols) {
-    double col_ms = 0;
-    std::uint64_t ticks = 0;
-    std::uint64_t pumped = 0;
-    for (const double cs : cs_lengths_us) {
-      workload::cs_config cfg;
-      cfg.processors = 6;
-      cfg.threads = 12;
-      cfg.iterations = 60;
-      cfg.cs_length = sim::microseconds(cs);
-      cfg.think_time = sim::microseconds(3 * cs + 100);
-      cfg.kind = locks::lock_kind::adaptive;
-      cfg.params.adapt = {2, 25, 50, 2};
-      cfg.params.policy = policy::default_spec("break-even");
-      if (col.async) cfg.params.policy.with_async();
-      const auto res = run_cs_workload(cfg);
-      col_ms += res.elapsed.ms();
-      ticks += res.policy_ticks;
-      pumped += res.policy_pumped;
-    }
-    r.metrics.push_back({std::string(col.tag) + "_total_virtual_ms", "ms", kVirtual,
-                         col_ms});
-    if (col.async) {
-      r.metrics.push_back({"async_daemon_ticks", "count", kVirtual,
-                           static_cast<double>(ticks)});
-      r.metrics.push_back({"async_pumped", "count", kVirtual,
-                           static_cast<double>(pumped)});
-    }
-  }
-  return r;
-}
 
 // ---------------------------------------------------------------------------
 // src/objects: striped hash map, fixed vs adaptive stripe granularity. The
@@ -1039,16 +706,16 @@ std::vector<scenario> make_registry() {
       run_serve_ct_tail_1024);
   add("bench_sharded_cs",
       "federated ct CS sweep: real threads, cross-shard echoes, 4 shards",
-      run_ct_sharded_cs);
+      run_sharded_cs_sweep);
   add("bench_serve_ct_fat4096",
       "ct serving on the 4096-node fat-tree preset, 64 federated runtimes",
       run_serve_ct_fat4096);
   add("bench_table1_tsp_central", "Table 1: centralized TSP, blocking vs adaptive",
-      [] { return run_tsp_scenario(tsp::variant::centralized); });
+      [] { return run_tsp_table(tsp::variant::centralized); });
   add("bench_table2_tsp_dist", "Table 2: distributed TSP, blocking vs adaptive",
-      [] { return run_tsp_scenario(tsp::variant::distributed); });
+      [] { return run_tsp_table(tsp::variant::distributed); });
   add("bench_table3_tsp_distlb", "Table 3: distributed+LB TSP, blocking vs adaptive",
-      [] { return run_tsp_scenario(tsp::variant::distributed_lb); });
+      [] { return run_tsp_table(tsp::variant::distributed_lb); });
   add("bench_table4_lock_cost", "Table 4: Lock-op cost, every kind, local/remote",
       [] { return run_lock_op_costs(false); });
   add("bench_table5_unlock_cost", "Table 5: Unlock-op cost, every kind, local/remote",

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace adx::perf {
@@ -164,6 +165,32 @@ TEST(Compare, RateDropIsARegressionRateGainIsNot) {
   EXPECT_FALSE(cmp2.failed());
   ASSERT_EQ(cmp2.findings.size(), 1u);
   EXPECT_EQ(cmp2.findings[0].kind, finding_kind::wall_improvement);
+}
+
+// NaN compares false against every bound, so without an explicit check a
+// non-finite median (or IQR) would slip through with no finding at all.
+TEST(Compare, NonFiniteValuesAreFatal) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()};
+  for (const double v : bad) {
+    for (const bool in_baseline : {false, true}) {
+      for (const std::size_t metric : {0u, 1u, 2u}) {
+        auto cur = sample_report();
+        auto base = sample_report();
+        (in_baseline ? base : cur).scenarios[0].metrics[metric].stats.median = v;
+        const auto cmp = compare_reports(cur, base, {});
+        ASSERT_TRUE(cmp.failed()) << "metric " << metric << " value " << v;
+        ASSERT_EQ(cmp.findings.size(), 1u);
+        EXPECT_EQ(cmp.findings[0].kind, metric == 0 ? finding_kind::virtual_divergence
+                                                    : finding_kind::wall_regression);
+      }
+    }
+    auto noisy = sample_report();
+    noisy.scenarios[0].metrics[1].stats.iqr = v;
+    const auto cmp = compare_reports(noisy, sample_report(), {});
+    ASSERT_TRUE(cmp.failed());
+    EXPECT_EQ(cmp.findings[0].kind, finding_kind::wall_regression);
+  }
 }
 
 TEST(Compare, MissingScenarioAndMetricAreFatal) {

@@ -1,12 +1,17 @@
-// The scenario registry: completeness, naming discipline, and determinism of
-// the virtual-clock metrics that the regression gate compares exactly.
+// The scenario registry: completeness, determinism of the virtual-clock
+// metrics, and their exact match with the committed baseline.
 #include "perf/scenario.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
+
+#include "perf/bench_report.hpp"
 
 namespace adx::perf {
 namespace {
@@ -130,12 +135,48 @@ TEST(Scenarios, AdaptiveMonitorTracksTheBetterFixedMode) {
   }
 }
 
+// The exact gate, in tier-1: every registered scenario runs once and reports
+// at least one virtual metric (a scenario with only wall metrics would
+// silently weaken the gate), every virtual metric equals the committed
+// baseline bit for bit in both directions, and every baseline scenario is
+// still registered. CI's perf job adds repetitions and the wall gate.
 TEST(Scenarios, EveryScenarioReportsAtLeastOneVirtualMetric) {
-  // Statically declared in every body; spot-check by name conventions. A
-  // scenario with only wall metrics would silently weaken the exact gate.
-  for (const auto& s : all_scenarios()) {
-    EXPECT_TRUE(s.name.rfind("bench_", 0) == 0 || s.name.rfind("sim_", 0) == 0)
-        << "scenario name '" << s.name << "' should state what it mirrors";
+  std::ifstream in(ADX_BENCH_BASELINE);
+  ASSERT_TRUE(in) << "cannot read " << ADX_BENCH_BASELINE;
+  std::ostringstream text;
+  text << in.rdbuf();
+  const auto baseline = bench_report::from_json(text.str());
+  for (const auto& b : baseline.scenarios) {
+    EXPECT_NE(find_scenario(b.name), nullptr) << "baseline scenario not registered: " << b.name;
+  }
+
+  const auto virtual_metrics = [](const scenario_summary& s) {
+    std::map<std::string, double> out;
+    for (const auto& m : s.metrics) {
+      if (m.clock == metric_clock::virtual_time) out[m.name] = m.stats.median;
+    }
+    return out;
+  };
+  for (const auto& sc : all_scenarios()) {
+    const auto got = virtual_metrics(run_scenario(sc, 1, 0));
+    EXPECT_FALSE(got.empty()) << sc.name << " reports no virtual metric";
+    const auto* b = baseline.find(sc.name);
+    if (b == nullptr) {
+      ADD_FAILURE() << sc.name << " is missing from the baseline";
+      continue;
+    }
+    const auto want = virtual_metrics(*b);
+    for (const auto& [name, value] : got) {
+      const auto it = want.find(name);
+      if (it == want.end()) {
+        ADD_FAILURE() << sc.name << ":" << name << " is missing from the baseline";
+      } else {
+        EXPECT_EQ(value, it->second) << sc.name << ":" << name;
+      }
+    }
+    for (const auto& [name, value] : want) {
+      EXPECT_TRUE(got.count(name)) << sc.name << ":" << name << " is no longer reported";
+    }
   }
 }
 
