@@ -2,15 +2,39 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace adx::tsp {
 
-instance::instance(int n, std::vector<std::int32_t> d) : n_(n), d_(std::move(d)) {
+namespace {
+
+/// Checked before any n x n matrix is allocated.
+void check_cities(int n) {
   if (n < 3) throw std::invalid_argument("instance: need at least 3 cities");
+  if (n > kMaxCities) {
+    throw std::invalid_argument("instance: more than " + std::to_string(kMaxCities) +
+                                " cities");
+  }
+}
+
+}  // namespace
+
+instance::instance(int n, std::vector<std::int32_t> d) : n_(n), d_(std::move(d)) {
+  check_cities(n);
   if (d_.size() != static_cast<std::size_t>(n) * n) {
     throw std::invalid_argument("instance: matrix size mismatch");
   }
-  for (int i = 0; i < n; ++i) d_[static_cast<std::size_t>(i) * n + i] = kInf;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      const auto w = d_[static_cast<std::size_t>(i) * n + j];
+      if (i != j && (w < 0 || w > kMaxWeight)) {
+        throw std::invalid_argument("instance: weight " + std::to_string(w) + " at (" +
+                                    std::to_string(i) + ", " + std::to_string(j) +
+                                    ") outside [0, " + std::to_string(kMaxWeight) + "]");
+      }
+    }
+    d_[static_cast<std::size_t>(i) * n + i] = kInf;
+  }
 }
 
 std::int64_t instance::tour_cost(const std::vector<std::int16_t>& order) const {
@@ -26,6 +50,7 @@ std::int64_t instance::tour_cost(const std::vector<std::int16_t>& order) const {
 
 instance instance::random_asymmetric(int n, std::uint64_t seed, std::int32_t lo,
                                      std::int32_t hi) {
+  check_cities(n);
   sim::rng r(seed);
   std::vector<std::int32_t> d(static_cast<std::size_t>(n) * n, kInf);
   for (int i = 0; i < n; ++i) {
@@ -40,6 +65,7 @@ instance instance::random_asymmetric(int n, std::uint64_t seed, std::int32_t lo,
 }
 
 instance instance::random_euclidean(int n, std::uint64_t seed, std::int32_t span) {
+  check_cities(n);
   sim::rng r(seed);
   std::vector<std::pair<double, double>> pts;
   pts.reserve(n);

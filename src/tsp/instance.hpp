@@ -4,18 +4,33 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/rng.hpp"
 
 namespace adx::tsp {
 
-/// "No edge" marker inside cost matrices. Chosen so that sums of a few INFs
-/// do not overflow int32 when accumulated into int64 bounds.
-inline constexpr std::int32_t kInf = 0x3f3f3f3f;
+/// One cell of an LMSK cost matrix. Every queued search node carries its own
+/// matrix, so the cell width sets the size of the node store.
+using cell_t = std::int16_t;
+
+/// "No edge" marker inside cost matrices: the diagonal and forbidden arcs.
+inline constexpr cell_t kInf = std::numeric_limits<cell_t>::max();
+
+/// Largest off-diagonal weight an instance accepts. Since 2 * kMaxWeight <
+/// kInf, any sum of two finite cells stays below any sum that involves kInf.
+inline constexpr std::int32_t kMaxWeight = kInf / 2;
+static_assert(2 * kMaxWeight < kInf);
+
+/// Most cities an instance accepts: city labels are int16.
+inline constexpr int kMaxCities = std::numeric_limits<std::int16_t>::max();
 
 class instance {
  public:
+  /// Throws std::invalid_argument unless 3 <= n <= kMaxCities, d is n x n
+  /// and every off-diagonal weight lies in [0, kMaxWeight]. The diagonal is
+  /// set to kInf.
   instance(int n, std::vector<std::int32_t> d);
 
   [[nodiscard]] int n() const { return n_; }

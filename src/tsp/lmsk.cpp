@@ -5,17 +5,12 @@
 
 namespace adx::tsp {
 
-namespace {
-
-/// Saturating add against kInf cells.
-inline std::int32_t sat(std::int32_t v) { return v >= kInf ? kInf : v; }
-
-}  // namespace
-
 subproblem lmsk::root() {
   const int n = inst_->n();
   subproblem sp;
-  sp.m = inst_->data();
+  // The instance keeps every weight in [0, kMaxWeight] and its diagonal at
+  // kInf, so each one fits a cell as is.
+  sp.m.assign(inst_->data().begin(), inst_->data().end());
   sp.rows.resize(n);
   sp.cols.resize(n);
   std::iota(sp.rows.begin(), sp.rows.end(), std::int16_t{0});
@@ -28,7 +23,7 @@ subproblem lmsk::root() {
 
 std::int64_t lmsk::reduce_row(subproblem& sp, int i) {
   const int k = sp.k();
-  std::int32_t mn = kInf;
+  cell_t mn = kInf;
   for (int j = 0; j < k; ++j) {
     ++ops_;
     mn = std::min(mn, sp.cell(i, j));
@@ -46,7 +41,7 @@ std::int64_t lmsk::reduce_row(subproblem& sp, int i) {
 
 std::int64_t lmsk::reduce_col(subproblem& sp, int j) {
   const int k = sp.k();
-  std::int32_t mn = kInf;
+  cell_t mn = kInf;
   for (int i = 0; i < k; ++i) {
     ++ops_;
     mn = std::min(mn, sp.cell(i, j));
@@ -72,10 +67,10 @@ std::int64_t lmsk::reduce(subproblem& sp) {
   }
   // Column minima in one row-major pass rather than k strided scans.
   const auto n = static_cast<std::size_t>(k);
-  std::int32_t* m = sp.m.data();
+  cell_t* m = sp.m.data();
   colmin_.assign(n, kInf);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t* row = m + i * n;
+    const cell_t* row = m + i * n;
     for (std::size_t j = 0; j < n; ++j) colmin_[j] = std::min(colmin_[j], row[j]);
   }
   // Charged and summed column by column; an infeasible column ends the
@@ -100,9 +95,9 @@ std::int64_t lmsk::reduce(subproblem& sp) {
   }
   if (any) {
     for (std::size_t i = 0; i < n; ++i) {
-      std::int32_t* row = m + i * n;
+      cell_t* row = m + i * n;
       for (std::size_t j = 0; j < feasible; ++j) {
-        row[j] = row[j] < kInf ? row[j] - colmin_[j] : row[j];
+        row[j] = row[j] < kInf ? static_cast<cell_t>(row[j] - colmin_[j]) : row[j];
       }
     }
   }
@@ -119,17 +114,17 @@ lmsk::branch_pick lmsk::choose_branch(const subproblem& sp) {
   // One row-major pass: the two smallest cells of each row and column, as a
   // multiset (a repeated minimum is its own runner-up), and the zero cells
   // in row-major order, appended without a branch.
-  const std::int32_t* m = sp.m.data();
-  std::int32_t* c1 = col1_.data();
-  std::int32_t* c2 = col2_.data();
+  const cell_t* m = sp.m.data();
+  cell_t* c1 = col1_.data();
+  cell_t* c2 = col2_.data();
   std::int32_t* zeros = zeros_.data();
   std::size_t z = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t* row = m + i * n;
-    std::int32_t r1 = kInf;
-    std::int32_t r2 = kInf;
+    const cell_t* row = m + i * n;
+    cell_t r1 = kInf;
+    cell_t r2 = kInf;
     for (std::size_t j = 0; j < n; ++j) {
-      const std::int32_t v = row[j];
+      const cell_t v = row[j];
       r2 = std::min(r2, std::max(r1, v));
       r1 = std::min(r1, v);
       c2[j] = std::min(c2[j], std::max(c1[j], v));
@@ -144,13 +139,14 @@ lmsk::branch_pick lmsk::choose_branch(const subproblem& sp) {
 
   // Penalty of a zero: the cheapest other cell of its row plus of its column.
   // Without the zero itself that is the runner-up when the zero is the
-  // line's minimum, and the minimum otherwise.
+  // line's minimum, and the minimum otherwise. A finite penalty is at most
+  // 2 * kMaxWeight < kInf, so it loses to any penalty with a kInf term.
   branch_pick best;
   for (std::size_t t = 0; t < z; ++t) {
     const auto i = static_cast<std::size_t>(zeros[t]) / n;
     const auto j = static_cast<std::size_t>(zeros[t]) % n;
-    const std::int32_t row_alt = row1_[i] == 0 ? row2_[i] : row1_[i];
-    const std::int32_t col_alt = c1[j] == 0 ? c2[j] : c1[j];
+    const cell_t row_alt = row1_[i] == 0 ? row2_[i] : row1_[i];
+    const cell_t col_alt = c1[j] == 0 ? c2[j] : c1[j];
     const std::int64_t penalty = std::int64_t{row_alt} + col_alt;
     if (penalty > best.penalty) best = {static_cast<int>(i), static_cast<int>(j), penalty};
   }
@@ -183,11 +179,10 @@ void lmsk::forbid_subtour_arc(subproblem& child) {
 }
 
 std::optional<tour> lmsk::finish(const subproblem& sp) {
-  // k == 2: two arcs remain; pick the feasible (finite) assignment.
-  const std::int64_t a = static_cast<std::int64_t>(sat(sp.cell(0, 0))) +
-                         static_cast<std::int64_t>(sat(sp.cell(1, 1)));
-  const std::int64_t b = static_cast<std::int64_t>(sat(sp.cell(0, 1))) +
-                         static_cast<std::int64_t>(sat(sp.cell(1, 0)));
+  // k == 2: two arcs remain; pick the feasible (finite) assignment. Two
+  // finite cells sum to at most 2 * kMaxWeight < kInf.
+  const std::int64_t a = std::int64_t{sp.cell(0, 0)} + sp.cell(1, 1);
+  const std::int64_t b = std::int64_t{sp.cell(0, 1)} + sp.cell(1, 0);
   auto edges = sp.edges;
   if (a < kInf && a <= b) {
     edges.push_back({sp.rows[0], sp.cols[0]});

@@ -34,7 +34,7 @@ struct tour {
 
 /// One node of the search tree.
 struct subproblem {
-  std::vector<std::int32_t> m;        ///< k x k reduced cost matrix
+  std::vector<cell_t> m;              ///< k x k reduced cost matrix
   std::vector<std::int16_t> rows;     ///< city label of each matrix row
   std::vector<std::int16_t> cols;     ///< city label of each matrix column
   std::vector<std::array<std::int16_t, 2>> edges;  ///< committed (from,to) arcs
@@ -43,13 +43,14 @@ struct subproblem {
   sim::node_id data_home{0};     ///< node holding the matrix (NUMA charging)
 
   [[nodiscard]] int k() const { return static_cast<int>(rows.size()); }
-  [[nodiscard]] std::int32_t cell(int i, int j) const {
+  [[nodiscard]] cell_t cell(int i, int j) const {
     return m[static_cast<std::size_t>(i) * rows.size() + j];
   }
-  std::int32_t& cell(int i, int j) {
+  cell_t& cell(int i, int j) {
     return m[static_cast<std::size_t>(i) * rows.size() + j];
   }
-  /// Matrix words, for data-movement charging.
+  /// Matrix words, for data-movement charging: one per cell, whatever the
+  /// host cell width, so the simulated machine moves what it always did.
   [[nodiscard]] std::uint64_t words() const {
     return static_cast<std::uint64_t>(rows.size()) * rows.size();
   }
@@ -151,9 +152,10 @@ class lmsk {
 
   const instance* inst_;
   // Scratch, resized per call: the two smallest cells of each row and
-  // column, the zero cells' flat indices, the column minima, and each
+  // column, the column minima, the zero cells' flat indices, and each
   // city's successor and predecessor over the committed arcs.
-  std::vector<std::int32_t> row1_, row2_, col1_, col2_, colmin_, zeros_;
+  std::vector<cell_t> row1_, row2_, col1_, col2_, colmin_;
+  std::vector<std::int32_t> zeros_;
   std::vector<std::int16_t> next_, prev_;
   std::uint64_t ops_{0};
   std::uint64_t total_ops_{0};

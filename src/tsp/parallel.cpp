@@ -1,9 +1,11 @@
 #include "tsp/parallel.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "ct/context.hpp"
 #include "ct/runtime.hpp"
@@ -75,6 +77,12 @@ struct tsp_sim {
         pending(0, 0) {
     if (P == 0 || P > c.run.machine.nodes) {
       throw std::invalid_argument("tsp: processors out of range for machine");
+    }
+    if (c.data_word_divisor == 0) {
+      throw std::invalid_argument("tsp: data_word_divisor must be > 0");
+    }
+    if (!std::isfinite(c.per_op_us) || c.per_op_us < 0) {
+      throw std::invalid_argument("tsp: per_op_us must be finite and >= 0");
     }
     shards.resize(nshards);
     for (unsigned s = 0; s < nshards; ++s) {

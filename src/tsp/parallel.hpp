@@ -108,6 +108,9 @@ struct parallel_result {
 };
 
 /// Runs the parallel solver to completion on a fresh simulated machine.
+/// Throws std::invalid_argument when `processors` is 0 or exceeds the
+/// machine's nodes, `data_word_divisor` is 0, or `per_op_us` is negative or
+/// not finite.
 [[nodiscard]] parallel_result solve_parallel(const instance& inst,
                                              const parallel_config& cfg);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace adx::tsp {
 namespace {
 
@@ -13,8 +15,48 @@ TEST(Instance, RejectsSizeMismatch) {
   EXPECT_THROW(instance(4, std::vector<std::int32_t>(10, 1)), std::invalid_argument);
 }
 
+TEST(Instance, RejectsWeightsOutsideTheCellRange) {
+  for (const std::int32_t w : {-1, -20, kMaxWeight + 1, std::int32_t{1} << 30}) {
+    std::vector<std::int32_t> d(16, 7);
+    d[1 * 4 + 2] = w;
+    try {
+      instance(4, std::move(d));
+      FAIL() << "accepted weight " << w;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("(1, 2)"), std::string::npos) << e.what();
+    }
+  }
+  // LMSK's reductions assume non-negative weights; such an instance used to
+  // solve to "no tour" instead of failing.
+  EXPECT_THROW((void)instance::random_asymmetric(8, 1, -20, 20), std::invalid_argument);
+}
+
+TEST(Instance, AcceptsTheWholeWeightRange) {
+  std::vector<std::int32_t> d(9, kMaxWeight);
+  d[1] = 0;
+  const instance inst(3, std::move(d));
+  EXPECT_EQ(inst.at(0, 1), 0);
+  EXPECT_EQ(inst.at(1, 0), kMaxWeight);
+}
+
+TEST(Instance, RejectsMoreCitiesThanLabelsHold) {
+  // Checked before any n x n matrix is built, so none is allocated here.
+  try {
+    instance(kMaxCities + 1, {});
+    FAIL() << "accepted " << kMaxCities + 1 << " cities";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("cities"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW((void)instance::random_asymmetric(kMaxCities + 1, 1), std::invalid_argument);
+  EXPECT_THROW((void)instance::random_euclidean(kMaxCities + 1, 1), std::invalid_argument);
+}
+
 TEST(Instance, DiagonalForcedToInf) {
-  auto inst = instance(3, std::vector<std::int32_t>(9, 5));
+  // The diagonal is no weight: any value there is replaced, not checked.
+  std::vector<std::int32_t> d(9, 5);
+  d[0] = -1;
+  d[4] = kMaxWeight + 1;
+  auto inst = instance(3, std::move(d));
   for (int i = 0; i < 3; ++i) EXPECT_EQ(inst.at(i, i), kInf);
   EXPECT_EQ(inst.at(0, 1), 5);
 }

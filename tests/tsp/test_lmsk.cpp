@@ -183,27 +183,26 @@ INSTANTIATE_TEST_SUITE_P(RandomAsymmetric, LmskPinned,
                          });
 
 // The scalar kernels the one-pass ones replaced, kept as the reference: the
-// same pick, the same matrix and the same charged ops on any input.
+// same pick, the same matrix and the same charged ops on any input. Its
+// arithmetic is int64, so it cannot share a 16-bit overflow with the engine.
 struct scalar_reference {
   std::uint64_t ops{0};
 
-  static std::int32_t sat(std::int32_t v) { return v >= kInf ? kInf : v; }
-
   std::int64_t reduce_line(subproblem& sp, int fixed, bool row) {
     const int k = sp.k();
-    const auto cell = [&](int x) -> std::int32_t& {
+    const auto cell = [&](int x) -> cell_t& {
       return row ? sp.cell(fixed, x) : sp.cell(x, fixed);
     };
-    std::int32_t mn = kInf;
+    std::int64_t mn = kInf;
     for (int x = 0; x < k; ++x) {
       ++ops;
-      mn = std::min(mn, cell(x));
+      mn = std::min<std::int64_t>(mn, cell(x));
     }
     if (mn >= kInf) return kInfBound;
     if (mn > 0) {
       for (int x = 0; x < k; ++x) {
         ++ops;
-        if (cell(x) < kInf) cell(x) -= mn;
+        if (cell(x) < kInf) cell(x) = static_cast<cell_t>(cell(x) - mn);
       }
     }
     return mn;
@@ -228,17 +227,17 @@ struct scalar_reference {
       for (int j = 0; j < k; ++j) {
         ++ops;
         if (sp.cell(i, j) != 0) continue;
-        std::int32_t row_alt = kInf;
+        std::int64_t row_alt = kInf;
         for (int jj = 0; jj < k; ++jj) {
           ++ops;
-          if (jj != j) row_alt = std::min(row_alt, sp.cell(i, jj));
+          if (jj != j) row_alt = std::min<std::int64_t>(row_alt, sp.cell(i, jj));
         }
-        std::int32_t col_alt = kInf;
+        std::int64_t col_alt = kInf;
         for (int ii = 0; ii < k; ++ii) {
           ++ops;
-          if (ii != i) col_alt = std::min(col_alt, sp.cell(ii, j));
+          if (ii != i) col_alt = std::min<std::int64_t>(col_alt, sp.cell(ii, j));
         }
-        const std::int64_t penalty = std::int64_t{sat(row_alt)} + sat(col_alt);
+        const std::int64_t penalty = row_alt + col_alt;
         if (penalty > best.penalty) best = {i, j, penalty};
       }
     }
@@ -246,17 +245,39 @@ struct scalar_reference {
   }
 };
 
-/// A k x k matrix of small values (many zeros and equal penalties), with
-/// kInf cells at `inf_pct` percent and, when `dead_line` is set, one row or
-/// column all kInf.
-subproblem random_matrix(std::mt19937_64& rng, int k, unsigned inf_pct, bool dead_line) {
+/// A k x k matrix with kInf cells at `inf_pct` percent and, when `dead_line`
+/// is set, one row or column all kInf. Finite cells are small (many zeros
+/// and equal penalties) unless `wide` is set. Then they span the whole
+/// weight range [0, kMaxWeight], and one row and one column are all
+/// kMaxWeight but for a zero where they cross: that zero's penalty is
+/// 2 * kMaxWeight, the largest finite one. When `forced` is set, one zero
+/// is the only finite cell of its row and column, and another the only one
+/// of its row: penalties with two and with one kInf term.
+subproblem random_matrix(std::mt19937_64& rng, int k, unsigned inf_pct, bool dead_line,
+                         bool wide, bool forced) {
   subproblem sp;
   sp.rows.resize(k);
   sp.cols.resize(k);
   sp.m.resize(static_cast<std::size_t>(k) * k);
-  const auto hi = static_cast<std::int32_t>(1 + rng() % 12);
+  const auto hi = wide ? kMaxWeight : static_cast<std::int32_t>(1 + rng() % 12);
   for (auto& c : sp.m) {
-    c = rng() % 100 < inf_pct ? kInf : static_cast<std::int32_t>(rng() % (hi + 1));
+    c = rng() % 100 < inf_pct ? kInf : static_cast<cell_t>(rng() % (hi + 1));
+  }
+  if (wide) {
+    const int x = static_cast<int>(rng() % k);
+    const int y = static_cast<int>(rng() % k);
+    for (int z = 0; z < k; ++z) sp.cell(x, z) = sp.cell(z, y) = kMaxWeight;
+    sp.cell(x, y) = 0;
+  }
+  if (forced) {
+    const int x = static_cast<int>(rng() % k);
+    const int y = static_cast<int>(rng() % k);
+    for (int z = 0; z < k; ++z) sp.cell(x, z) = sp.cell(z, y) = kInf;
+    sp.cell(x, y) = 0;
+    const int x2 = static_cast<int>(rng() % k);
+    const int y2 = static_cast<int>(rng() % k);
+    for (int z = 0; z < k; ++z) sp.cell(x2, z) = kInf;
+    sp.cell(x2, y2) = 0;
   }
   if (dead_line) {
     const int x = static_cast<int>(rng() % k);
@@ -271,12 +292,19 @@ TEST(LmskKernels, MatchTheScalarReference) {
   std::mt19937_64 rng(20240611);
   int feasible = 0;
   int infeasible = 0;
-  for (int trial = 0; trial < 600; ++trial) {
+  int wide_trials = 0;
+  int forced_trials = 0;
+  for (int trial = 0; trial < 900; ++trial) {
     const int k = 3 + static_cast<int>(rng() % 78);  // 3..80
     const unsigned inf_pct = static_cast<unsigned>(rng() % 4) * 10;
     const bool dead = rng() % 8 == 0;
-    SCOPED_TRACE(testing::Message() << "trial " << trial << " k=" << k);
-    const subproblem raw = random_matrix(rng, k, inf_pct, dead);
+    const bool wide = rng() % 3 == 0;
+    const bool forced = rng() % 4 == 0;
+    wide_trials += wide ? 1 : 0;
+    forced_trials += forced ? 1 : 0;
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " k=" << k << " wide=" << wide
+                                    << " forced=" << forced);
+    const subproblem raw = random_matrix(rng, k, inf_pct, dead, wide, forced);
 
     // reduce: same bound increase, same matrix, same ops — feasible or not.
     subproblem mine = raw;
@@ -306,6 +334,26 @@ TEST(LmskKernels, MatchTheScalarReference) {
   }
   EXPECT_GT(feasible, 100);
   EXPECT_GT(infeasible, 50);
+  EXPECT_GT(wide_trials, 200);
+  EXPECT_GT(forced_trials, 150);
+}
+
+// Instances at the top of the weight range, where a penalty or a two-cell
+// sum held in a 16-bit cell would overflow: LMSK must still find the optimum.
+TEST(Lmsk, WeightsUpToTheMaximumMatchBruteForce) {
+  const int n = 8;
+  const instance all_max(n, std::vector<std::int32_t>(n * n, kMaxWeight));
+  const instance near_max = instance::random_asymmetric(9, 5, kMaxWeight - 100, kMaxWeight);
+  const instance full_range = instance::random_asymmetric(9, 6, 0, kMaxWeight);
+  for (const instance* inst : {&all_max, &near_max, &full_range}) {
+    SCOPED_TRACE(testing::Message() << "n=" << inst->n() << " w(0,1)=" << inst->at(0, 1));
+    const auto bf = solve_brute_force(*inst);
+    const auto lm = solve_sequential(*inst);
+    ASSERT_TRUE(lm.best.valid());
+    EXPECT_EQ(lm.best.cost, bf.cost);
+    EXPECT_EQ(inst->tour_cost(lm.best.order), lm.best.cost);
+  }
+  EXPECT_EQ(solve_sequential(all_max).best.cost, std::int64_t{n} * kMaxWeight);
 }
 
 TEST(Lmsk, OptimalNeverWorseThanGreedyUpperBound) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace adx::tsp {
 namespace {
 
@@ -121,6 +123,21 @@ TEST(ParallelTsp, RejectsBadProcessorCount) {
   EXPECT_THROW(solve_parallel(inst, cfg), std::invalid_argument);
   cfg.processors = 99;  // > machine nodes
   EXPECT_THROW(solve_parallel(inst, cfg), std::invalid_argument);
+}
+
+TEST(ParallelTsp, RejectsBadCostModel) {
+  const auto inst = instance::random_asymmetric(8, 3);
+  auto cfg = fast_cfg(variant::centralized, locks::lock_kind::blocking);
+  cfg.data_word_divisor = 0;
+  EXPECT_THROW((void)solve_parallel(inst, cfg), std::invalid_argument);
+  cfg.data_word_divisor = 8;
+  for (const double us : {-1.0, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.per_op_us = us;
+    EXPECT_THROW((void)solve_parallel(inst, cfg), std::invalid_argument) << us;
+  }
+  cfg.per_op_us = 0.0;  // free compute is a valid model
+  EXPECT_TRUE(solve_parallel(inst, cfg).best.valid());
 }
 
 TEST(ParallelTsp, MoreProcessorsFinishSooner) {
