@@ -31,28 +31,24 @@ class adaptive_object : public reconfigurable_object {
 
   /// An instrumentation point inside a method body: fires the monitor; with
   /// close coupling, any due observations run the policy immediately.
-  /// Returns the number of observations delivered to the policy.
+  /// Returns the number of observations delivered to the policy. Allocates
+  /// nothing itself: the monitor hands observations over one by one.
   std::size_t feedback_point() {
-    auto due = monitor_.trigger();
-    for (const auto& obs : due) {
-      note_monitor_sample(sensor::sample_cost());
-      if (policy_) policy_->observe(obs);
-    }
-    return due.size();
+    return monitor_.trigger([this](const observation& obs) { deliver(obs); });
   }
 
   /// Loosely-coupled pump, called by an external agent: delivers up to `max`
   /// queued (possibly stale) observations to the policy.
   std::size_t pump(std::size_t max = ~std::size_t{0}) {
-    auto obs = monitor_.drain(max);
-    for (const auto& o : obs) {
-      note_monitor_sample(sensor::sample_cost());
-      if (policy_) policy_->observe(o);
-    }
-    return obs.size();
+    return monitor_.drain([this](const observation& obs) { deliver(obs); }, max);
   }
 
  private:
+  void deliver(const observation& obs) {
+    note_monitor_sample(sensor::sample_cost());
+    if (policy_) policy_->observe(obs);
+  }
+
   monitor monitor_;
   std::shared_ptr<adaptation_policy> policy_;
 };

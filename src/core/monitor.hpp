@@ -5,7 +5,7 @@
 // adaptive locks; the customized monitor instead runs *inside the invoking
 // application threads*. Both couplings are kept here:
 //   * closely coupled — trigger() samples inline and hands observations
-//     straight to the caller (who runs the policy immediately);
+//     straight to the caller's callback (which runs the policy immediately);
 //   * loosely coupled — observations queue up and are delivered when an
 //     external agent drains them, modelling the monitor-thread lag the paper
 //     rejected (ablation bench `bench_abl_coupling`).
@@ -14,7 +14,6 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <vector>
 
 #include "core/sensor.hpp"
@@ -24,9 +23,9 @@ namespace adx::core {
 enum class coupling : std::uint8_t { closely_coupled, loosely_coupled };
 
 /// Per-sensor fold applied by the monitor before an observation is delivered.
-/// This is the object-generic half of the aggregation the lock policy engine
-/// performs internally: any adaptive object (hash map, monitor object, ...)
-/// can register a sensor with smoothing without owning its own aggregator.
+/// It is the only sensor fold: every adaptive object (lock, hash map, monitor
+/// object) registers its sensors with their smoothing here, and its policy
+/// sees the folded value.
 struct sensor_aggregation {
   enum class kind : std::uint8_t {
     last_value,     ///< the newest sample, unfiltered
@@ -77,23 +76,27 @@ class monitor {
 
   [[nodiscard]] std::size_t sensor_count() const { return sensors_.size(); }
   [[nodiscard]] sensor& sensor_at(std::size_t i) { return sensors_.at(i); }
+  [[nodiscard]] const sensor& sensor_at(std::size_t i) const { return sensors_.at(i); }
 
   /// Diversity factor (§3): the range of distinct data monitored.
   [[nodiscard]] std::size_t diversity() const { return sensors_.size(); }
 
-  /// Fires every sensor's trigger point. Closely coupled: due observations
-  /// are returned for immediate policy execution. Loosely coupled: they are
-  /// queued (dropping oldest on overflow — "information overload") and the
-  /// return is empty. Each due observation is folded through its sensor's
-  /// aggregation before delivery.
-  std::vector<observation> trigger() {
-    std::vector<observation> due;
+  /// Fires every sensor's trigger point, then hands each due observation to
+  /// `deliver` (closely coupled) or queues it, dropping the oldest on
+  /// overflow — "information overload" (loosely coupled). Each observation
+  /// is folded through its sensor's aggregation first. Every sensor is
+  /// sampled before the first delivery, so a policy reacting to one sensor
+  /// cannot change what the next one reads at the same point. Returns the
+  /// number delivered; allocates nothing once the scratch buffer has grown to
+  /// the sensor count.
+  template <typename Deliver>
+  std::size_t trigger(Deliver&& deliver) {
+    due_.clear();
     for (std::size_t i = 0; i < sensors_.size(); ++i) {
-      auto& s = sensors_[i];
-      if (auto obs = s.trigger()) {
+      if (auto obs = sensors_[i].trigger()) {
         obs->value = aggs_[i].feed(obs->value);
         if (mode_ == coupling::closely_coupled) {
-          due.push_back(*obs);
+          due_.push_back(*obs);
         } else {
           if (queue_.size() >= queue_cap_) {
             queue_.pop_front();
@@ -103,18 +106,22 @@ class monitor {
         }
       }
     }
-    return due;
+    for (const auto& obs : due_) deliver(obs);
+    return due_.size();
   }
 
-  /// Loosely-coupled drain: delivers up to `max` queued observations (oldest
-  /// first), i.e. the external agent may act on *stale* state.
-  std::vector<observation> drain(std::size_t max = ~std::size_t{0}) {
-    std::vector<observation> out;
-    while (!queue_.empty() && out.size() < max) {
-      out.push_back(queue_.front());
+  /// Loosely-coupled drain: hands up to `max` queued observations (oldest
+  /// first) to `deliver`, i.e. the external agent may act on *stale* state.
+  /// Returns the number delivered.
+  template <typename Deliver>
+  std::size_t drain(Deliver&& deliver, std::size_t max = ~std::size_t{0}) {
+    std::size_t n = 0;
+    for (; n < max && !queue_.empty(); ++n) {
+      const auto obs = queue_.front();
       queue_.pop_front();
+      deliver(obs);
     }
-    return out;
+    return n;
   }
 
   [[nodiscard]] std::size_t backlog() const { return queue_.size(); }
@@ -126,18 +133,22 @@ class monitor {
     return n;
   }
 
-  /// The aggregated value sensor `i` last delivered (0 before any sample).
+  /// The aggregated value of sensor `i`'s newest sample (0 before any
+  /// sample). Loosely coupled, that sample may still wait in the queue.
   [[nodiscard]] std::int64_t aggregated_value(std::size_t i) const {
     return aggs_.at(i).value;
   }
 
  private:
-  /// Running fold state for one sensor's aggregation.
+  /// Running fold state for one sensor's aggregation. The max-in-window
+  /// history is a ring that grows to the window size with the first samples
+  /// and is overwritten in place from then on.
   struct agg_state {
     sensor_aggregation spec{};
     bool primed{false};
     double ewma{0.0};
-    std::deque<std::int64_t> recent;
+    std::vector<std::int64_t> recent;  ///< the last `window` samples
+    std::size_t oldest{0};             ///< next slot to overwrite once full
     std::int64_t value{0};
 
     std::int64_t feed(std::int64_t raw) {
@@ -156,9 +167,13 @@ class monitor {
           break;
         case sensor_aggregation::kind::max_in_window: {
           const std::size_t w = spec.window == 0 ? 1 : spec.window;
-          recent.push_back(raw);
-          while (recent.size() > w) recent.pop_front();
-          std::int64_t m = recent.front();
+          if (recent.size() < w) {
+            recent.push_back(raw);
+          } else {
+            recent[oldest] = raw;
+            oldest = oldest + 1 == w ? 0 : oldest + 1;
+          }
+          std::int64_t m = raw;
           for (const auto v : recent) m = v > m ? v : m;
           value = m;
           break;
@@ -172,6 +187,7 @@ class monitor {
   std::size_t queue_cap_;
   std::vector<sensor> sensors_;
   std::vector<agg_state> aggs_;  ///< parallel to sensors_
+  std::vector<observation> due_;  ///< trigger()'s scratch, reused across calls
   std::deque<observation> queue_;
   std::uint64_t dropped_{0};
 };

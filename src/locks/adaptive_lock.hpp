@@ -1,6 +1,10 @@
-// Adaptive lock (§4, §5): a reconfigurable lock with a built-in customized
-// monitor and the paper's `simple-adapt` policy, forming the closely-coupled
-// feedback loop executed inline by unlocking threads.
+// Adaptive lock (§4, §5): a reconfigurable lock whose customized monitor and
+// adaptation policy form the closely-coupled feedback loop executed inline by
+// unlocking threads.
+//
+// The constructor installs the policy its spec names through the policy
+// registry (`policy::install`, src/policy). The default spec is the paper's
+// `simple-adapt`:
 //
 // Monitor: one sensor, `no-of-waiting-threads`, sampled once during every
 // other unlock operation (period 2 by default).
@@ -15,17 +19,26 @@
 // Waiting-Threshold and n are lock-specific constants, exposed here as
 // parameters (the paper notes they must be tuned per lock; the ablation
 // bench `bench_abl_threshold` sweeps them).
+//
+// This header sits in src/locks, but the class is defined in
+// src/policy/adaptive_lock.cpp and builds in adx_policy: constructing an
+// adaptive lock installs a registry policy, so everything that constructs
+// one links the policy library.
 #pragma once
 
-#include <algorithm>
-#include <string>
+#include <memory>
 
-#include "core/policy.hpp"
-#include "core/sensor.hpp"
 #include "locks/reconfigurable_lock.hpp"
+#include "policy/spec.hpp"
+
+namespace adx::policy {
+class engine;
+}  // namespace adx::policy
 
 namespace adx::locks {
 
+/// The knobs of the paper's simple-adapt rule and of the lock's monitor; the
+/// registry's decision cores read their defaults from here.
 struct simple_adapt_params {
   std::int64_t waiting_threshold = 4;  ///< Waiting-Threshold
   std::int64_t n = 10;                 ///< the per-lock adjustment constant
@@ -42,88 +55,27 @@ struct simple_adapt_params {
   friend bool operator==(const simple_adapt_params&, const simple_adapt_params&) = default;
 };
 
-/// The policy interface an adaptive lock drives. The lock's feedback loop is
-/// policy-agnostic: it delivers observations, charges the monitor/policy/Ψ
-/// costs, and asks the installed policy for its identity and most recent
-/// decision when annotating reconfigure events. Concrete policies are the
-/// built-in `simple_adapt_policy` below (the default) and any policy built by
-/// the `adx::policy` engine (src/policy) — which is how one lock class runs
-/// the whole registered policy family.
-class lock_adapt_policy : public core::adaptation_policy {
- public:
-  /// The most recent reconfiguration decision d_c together with the sensor
-  /// value v_i that caused it and a rendering of the full sensor vector, for
-  /// trace annotation.
-  struct decision_record {
-    std::int64_t sensor_value{0};
-    waiting_policy applied{};
-    std::string sensors{};  ///< "name=value ..." snapshot at decision time
-  };
-
-  /// Registry-style policy name ("simple-adapt", "break-even", ...).
-  [[nodiscard]] virtual std::string_view policy_name() const = 0;
-  [[nodiscard]] virtual const decision_record& last_decision() const = 0;
-};
-
-/// The paper's simple-adapt policy, operating on a reconfigurable lock.
-class simple_adapt_policy final : public lock_adapt_policy {
- public:
-  simple_adapt_policy(reconfigurable_lock& lk, simple_adapt_params p)
-      : lk_(&lk), p_(p) {}
-
-  void observe(const core::observation& obs) override {
-    if (obs.sensor != "no-of-waiting-threads") return;
-    const std::int64_t waiting = obs.value;
-    const auto cur = lk_->current_policy();
-
-    waiting_policy next;
-    if (waiting == 0) {
-      // No contention: configure the lock to be the lowest-latency spin
-      // (unbounded per the paper, or bounded-then-block for multiprogrammed
-      // workloads).
-      next = p_.pure_spin_on_idle ? waiting_policy::pure_spin(p_.spin_cap)
-                                  : waiting_policy::mixed(p_.spin_cap);
-    } else {
-      std::int64_t spins = cur.spin_time;
-      if (waiting <= p_.waiting_threshold) {
-        spins += p_.n;
-      } else {
-        spins -= 2 * p_.n;
-      }
-      spins = std::min(spins, p_.spin_cap);
-      if (spins <= 0) {
-        next = waiting_policy::pure_sleep();  // configure pure blocking
-      } else {
-        next = waiting_policy::mixed(spins);  // spin, then block
-      }
-    }
-    if (next != cur && lk_->apply_waiting_policy(next)) {
-      note_decision();
-      last_ = {waiting, next,
-               "no-of-waiting-threads=" + std::to_string(waiting)};
-    }
-  }
-
-  [[nodiscard]] const simple_adapt_params& params() const { return p_; }
-  [[nodiscard]] std::string_view policy_name() const override { return "simple-adapt"; }
-  [[nodiscard]] const decision_record& last_decision() const override { return last_; }
-
- private:
-  reconfigurable_lock* lk_;
-  simple_adapt_params p_;
-  decision_record last_{};
-};
-
 class adaptive_lock final : public reconfigurable_lock {
  public:
+  /// Installs `spec` (default: simple-adapt on one `no-of-waiting-threads`
+  /// sensor at `params.sample_period`). Throws std::invalid_argument on an
+  /// unknown policy, sensor or wrapper name.
   adaptive_lock(sim::node_id home, lock_cost_model cost,
                 simple_adapt_params params = {},
                 waiting_policy initial = waiting_policy::mixed(10),
-                std::unique_ptr<lock_scheduler> sched = nullptr);
+                const policy::policy_spec& spec = {});
 
   [[nodiscard]] std::string_view kind() const override { return "adaptive"; }
 
   [[nodiscard]] const simple_adapt_params& adapt_params() const { return params_; }
+
+  /// Makes `e` the lock's adaptation policy (the registry's install calls
+  /// this).
+  void set_engine(std::shared_ptr<policy::engine> e);
+  /// The installed policy, typed: its name and latest decision annotate
+  /// reconfigure events.
+  [[nodiscard]] const policy::engine& engine() const { return *engine_; }
+  [[nodiscard]] policy::engine& engine() { return *engine_; }
 
  protected:
   /// The closely-coupled feedback loop, executed by the unlocking thread:
@@ -132,6 +84,7 @@ class adaptive_lock final : public reconfigurable_lock {
 
  private:
   simple_adapt_params params_;
+  policy::engine* engine_ = nullptr;  ///< owned through adaptive_object's policy
 };
 
 }  // namespace adx::locks

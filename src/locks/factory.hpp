@@ -1,5 +1,8 @@
 // Lock factory: uniform construction of any lock kind, used by the benches
-// and the TSP driver to sweep lock families.
+// and the TSP solver to sweep lock families. Lock-kind naming is defined in
+// adx_locks (factory.cpp); `make_lock` is defined in adx_policy
+// (src/policy/make_lock.cpp), because an adaptive lock installs a registry
+// policy when it is constructed.
 #pragma once
 
 #include <memory>
@@ -43,9 +46,8 @@ struct lock_params {
   /// handoff (paper setting), 1 = release-and-retry (barging; avoids grant
   /// convoys under heavy multiprogramming).
   std::int64_t grant_mode = 0;
-  /// Adaptation policy for adaptive locks. The default spec keeps the lock's
-  /// built-in simple-adapt loop (bit-identical to pre-engine behavior); any
-  /// other spec is instantiated through the adx::policy registry.
+  /// Adaptation policy for adaptive locks, installed through the adx::policy
+  /// registry when the lock is constructed (default: simple-adapt).
   policy::policy_spec policy{};
 
   friend bool operator==(const lock_params&, const lock_params&) = default;

@@ -1,6 +1,5 @@
 #include "locks/run_config.hpp"
 
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -183,12 +182,3 @@ run_config run_config::from_json(std::string_view text) {
 }
 
 }  // namespace adx
-
-namespace adx::locks {
-
-std::unique_ptr<lock_object> make_lock(const adx::run_config& rc, sim::node_id home,
-                                       const lock_cost_model& cost) {
-  return make_lock(rc.lock, home, cost, rc.params);
-}
-
-}  // namespace adx::locks

@@ -104,7 +104,7 @@ class adaptive_hash_map final : public core::adaptive_object,
     }
     buckets_.resize(static_cast<std::size_t>(active_) * bps_);
     attributes().declare("active-stripes", static_cast<std::int64_t>(active_));
-    if (cfg_.adaptive) install_map_policy(*this, *this, *this, cfg_.spec);
+    if (cfg_.adaptive) policy::install(*this, *this, *this, cfg_.spec);
   }
 
   [[nodiscard]] const map_config& config() const { return cfg_; }

@@ -22,21 +22,11 @@ std::span<const std::string_view> map_sensor_names() { return kMapSensorNames; }
 std::span<const std::string_view> monitor_sensor_names() { return kMonitorSensorNames; }
 
 policy::policy_spec default_map_spec() {
-  return policy::policy_registry::default_spec("stripe-adapt");
+  return policy::default_spec("stripe-adapt");
 }
 
 policy::policy_spec default_monitor_spec() {
-  return policy::policy_registry::default_spec("mode-adapt");
-}
-
-void install_map_policy(core::adaptive_object& obj, policy::sensor_host& host,
-                        stripe_controller& ctl, const policy::policy_spec& spec) {
-  policy::policy_registry::install(obj, host, ctl, spec);
-}
-
-void install_monitor_policy(core::adaptive_object& obj, policy::sensor_host& host,
-                            mode_controller& ctl, const policy::policy_spec& spec) {
-  policy::policy_registry::install(obj, host, ctl, spec);
+  return policy::default_spec("mode-adapt");
 }
 
 }  // namespace adx::objects

@@ -1,12 +1,10 @@
-// Object-policy compatibility surface.
+// Object-policy names in the objects namespace.
 //
 // The object controllers (stripe_controller, mode_controller) and the
-// stripe-adapt / mode-adapt policy implementations moved down into
-// src/policy so the unified `policy::policy_registry` owns every install
-// path — locks and objects — behind one `policy_spec` schema. This header
-// keeps the objects-namespace names alive: the aliases below and the
-// install_* wrappers are the pre-unification API, deprecated in favour of
-// `policy::policy_registry` (see DESIGN.md's migration note).
+// stripe-adapt / mode-adapt policy implementations live in src/policy, so
+// one registry (`policy::install`) owns every install path — locks and
+// objects — behind one `policy_spec` schema. This header keeps the
+// objects-namespace aliases and the objects' sensor names and default specs.
 #pragma once
 
 #include <span>
@@ -39,10 +37,6 @@ using mode_adapt_params = policy::mode_adapt_params;
 /// map sensors with their canonical periods and aggregations.
 [[nodiscard]] policy::policy_spec default_map_spec();
 
-/// Deprecated wrapper over policy_registry::install (map family).
-void install_map_policy(core::adaptive_object& obj, policy::sensor_host& host,
-                        stripe_controller& ctl, const policy::policy_spec& spec);
-
 // ----------------------------------------------------------------- monitor
 
 /// Names of the adaptive monitor's sensors:
@@ -54,9 +48,5 @@ void install_map_policy(core::adaptive_object& obj, policy::sensor_host& host,
 /// Default declarative spec for the monitor: name "mode-adapt" plus the
 /// three monitor sensors.
 [[nodiscard]] policy::policy_spec default_monitor_spec();
-
-/// Deprecated wrapper over policy_registry::install (monitor family).
-void install_monitor_policy(core::adaptive_object& obj, policy::sensor_host& host,
-                            mode_controller& ctl, const policy::policy_spec& spec);
 
 }  // namespace adx::objects

@@ -432,7 +432,7 @@ scenario_result run_serve_ct_fat4096() {
 scenario_result run_abl_policy() {
   const double cs_lengths_us[] = {10, 100, 800};
   // The registered policy family plus one wrapped variant; the empty spec is
-  // the built-in simple-adapt loop (the plain-adaptive reference column).
+  // the default simple-adapt (the plain-adaptive reference column).
   const struct {
     const char* tag;
     policy::policy_spec spec;

@@ -1,16 +1,23 @@
 #include "locks/adaptive_lock.hpp"
 
-#include <memory>
+#include <utility>
+
+#include "locks/factory.hpp"
+#include "policy/engine.hpp"
+#include "policy/registry.hpp"
 
 namespace adx::locks {
 
 adaptive_lock::adaptive_lock(sim::node_id home, lock_cost_model cost,
                              simple_adapt_params params, waiting_policy initial,
-                             std::unique_ptr<lock_scheduler> sched)
-    : reconfigurable_lock(home, cost, initial, std::move(sched)), params_(params) {
-  object_monitor().add_sensor(core::sensor(
-      "no-of-waiting-threads", [this] { return waiting_now(); }, params_.sample_period));
-  set_policy(std::make_shared<simple_adapt_policy>(*this, params_));
+                             const policy::policy_spec& spec)
+    : reconfigurable_lock(home, cost, initial), params_(params) {
+  policy::install(*this, lock_params{.adapt = params, .policy = spec}, cost);
+}
+
+void adaptive_lock::set_engine(std::shared_ptr<policy::engine> e) {
+  engine_ = e.get();
+  set_policy(std::move(e));
 }
 
 ct::task<void> adaptive_lock::post_release_hook(ct::context& ctx) {
@@ -31,11 +38,9 @@ ct::task<void> adaptive_lock::post_release_hook(ct::context& ctx) {
                          static_cast<std::int64_t>(reconfigs));
     co_await ctx.touch(home(), sim::access_kind::read, reconfigs);
     co_await ctx.touch(home(), sim::access_kind::write, reconfigs);
-    if (auto* p = dynamic_cast<const lock_adapt_policy*>(policy())) {
-      const auto& d = p->last_decision();
-      stats_.on_reconfigure(ctx.now(), ctx.self(), d.sensor_value,
-                            describe(d.applied), p->policy_name(), d.sensors);
-    }
+    const auto& d = engine_->last_decision();
+    stats_.on_reconfigure(ctx.now(), ctx.self(), d.sensor_value, describe(d.applied),
+                          engine_->policy_name(), d.sensors);
   }
 }
 

@@ -8,8 +8,8 @@
 // async runtime) and the object applies the requested reconfiguration
 // cooperatively at its next quiescent opportunity.
 //
-// These used to live in src/objects; they moved down here so the unified
-// `policy_registry` can own every install path (locks and objects) without
+// These used to live in src/objects; they moved down here so the registry's
+// `install` overloads cover every install path (locks and objects) without
 // the policy library depending on the object implementations.
 #pragma once
 

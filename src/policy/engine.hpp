@@ -1,58 +1,33 @@
-// The adaptation-policy engine: turns a declarative `policy_spec` into a
-// running `locks::lock_adapt_policy`.
+// The adaptation-policy engine: turns a declarative `policy_spec` into the
+// running policy of an adaptive lock.
 //
 // Structure of a built policy:
 //
-//   observation ──> aggregator (per sensor) ──> decision core ──> wrappers
-//                   last-value / ewma /          the policy P      hysteresis /
-//                   max-in-window                (P of §3)         deadband /
-//                                                                  cooldown
+//   monitor fold (per sensor) ──> decision core ──> wrappers
+//   last-value / ewma /            the policy P      hysteresis /
+//   max-in-window (core::monitor)  (P of §3)         deadband /
+//                                                    cooldown
 //                                          ──> apply_waiting_policy (Ψ)
 //
-// The engine is the glue: it owns per-sensor aggregators, feeds the folded
-// values to the decision core, filters the core's desired configuration
-// through the wrapper stack, and applies the survivor to the lock — recording
-// the decision (sensor value, applied Ψ, full sensor vector) for the obs
-// reconfigure annotation. The lock's feedback loop itself is unchanged; it
-// just drives this policy object instead of the built-in one.
+// The engine is the glue: it feeds the monitor-folded observations to the
+// decision core, filters the core's desired configuration through the
+// wrapper stack, and applies the survivor to the lock — recording the
+// decision (sensor value, applied Ψ, full sensor vector) for the obs
+// reconfigure annotation. Every adaptive lock runs one, the default
+// `simple-adapt` included.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "core/policy.hpp"
 #include "core/sensor.hpp"
-#include "locks/adaptive_lock.hpp"
 #include "locks/reconfigurable_lock.hpp"
-#include "policy/spec.hpp"
 
 namespace adx::policy {
-
-/// Folds a sensor's raw samples into the value the decision core sees.
-/// Integer-valued throughout: ewma keeps a double accumulator but reports a
-/// rounded int64 so decisions stay platform-independent.
-class aggregator {
- public:
-  explicit aggregator(const sensor_spec& s);
-
-  /// Feeds one raw sample; returns the aggregated value.
-  std::int64_t feed(std::int64_t raw);
-
-  [[nodiscard]] std::int64_t value() const { return value_; }
-
- private:
-  aggregation agg_;
-  double alpha_;
-  std::uint64_t window_;
-  bool primed_{false};
-  double ewma_{0.0};
-  std::deque<std::int64_t> recent_;
-  std::int64_t value_{0};
-};
 
 /// A policy core: maps (aggregated observation, current configuration) to a
 /// desired configuration, or nothing to leave the lock alone. Cores are pure
@@ -64,10 +39,9 @@ class decision_core {
 
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// `value` is the aggregated reading of the sensor named in `obs`.
+  /// `obs.value` is the monitor-folded reading of the sensor named in `obs`.
   [[nodiscard]] virtual std::optional<locks::waiting_policy> decide(
-      const core::observation& obs, std::int64_t value,
-      const locks::waiting_policy& current) = 0;
+      const core::observation& obs, const locks::waiting_policy& current) = 0;
 
   /// Called after a decision of this core was actually applied to the lock
   /// (post-wrapper). Lets cores that model state (e.g. cooldown-like logic)
@@ -86,16 +60,27 @@ class decision_core {
     std::unique_ptr<decision_core> inner, std::uint64_t observations);
 
 /// The runtime policy installed on an adaptive lock: drives the wrapped core
-/// from aggregated sensor values and applies its decisions.
-class engine final : public locks::lock_adapt_policy {
+/// from the monitor's folded sensor values and applies its decisions.
+class engine final : public core::adaptation_policy {
  public:
+  /// The most recent reconfiguration decision d_c together with the sensor
+  /// value v_i that caused it and a rendering of the full sensor vector, for
+  /// trace annotation.
+  struct decision_record {
+    std::int64_t sensor_value{0};
+    locks::waiting_policy applied{};
+    std::string sensors{};  ///< "name=value ..." snapshot at decision time
+  };
+
+  /// `lk` must outlive the engine; its monitor carries the sensors.
   engine(locks::reconfigurable_lock& lk, std::string spec_name,
-         std::unique_ptr<decision_core> core, std::vector<sensor_spec> sensors);
+         std::unique_ptr<decision_core> core);
 
   void observe(const core::observation& obs) override;
 
-  [[nodiscard]] std::string_view policy_name() const override { return name_; }
-  [[nodiscard]] const decision_record& last_decision() const override { return last_; }
+  /// Registry-style policy name ("simple-adapt", "break-even+hysteresis", ...).
+  [[nodiscard]] std::string_view policy_name() const { return name_; }
+  [[nodiscard]] const decision_record& last_decision() const { return last_; }
 
  private:
   [[nodiscard]] std::string render_sensor_vector() const;
@@ -103,8 +88,6 @@ class engine final : public locks::lock_adapt_policy {
   locks::reconfigurable_lock* lk_;
   std::string name_;
   std::unique_ptr<decision_core> core_;
-  std::vector<sensor_spec> specs_;       // parallel to aggs_
-  std::vector<aggregator> aggs_;
   decision_record last_{};
 };
 

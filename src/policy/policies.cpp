@@ -44,10 +44,9 @@ class simple_adapt_core final : public decision_core {
   [[nodiscard]] std::string_view name() const override { return "simple-adapt"; }
 
   std::optional<waiting_policy> decide(const core::observation& obs,
-                                       std::int64_t value,
                                        const waiting_policy& cur) override {
     if (obs.sensor != "no-of-waiting-threads") return std::nullopt;
-    const std::int64_t waiting = value;
+    const std::int64_t waiting = obs.value;
     if (waiting == 0) {
       return pure_spin_on_idle_ ? waiting_policy::pure_spin(spin_cap_)
                                 : waiting_policy::mixed(spin_cap_);
@@ -84,8 +83,8 @@ class break_even_core final : public decision_core {
   [[nodiscard]] std::string_view name() const override { return "break-even"; }
 
   std::optional<waiting_policy> decide(const core::observation& obs,
-                                       std::int64_t value,
                                        const waiting_policy& /*cur*/) override {
+    const std::int64_t value = obs.value;
     if (obs.sensor == "lock-hold-time") {
       hold_us_ = static_cast<double>(value);
       return std::nullopt;
@@ -124,8 +123,8 @@ class ewma_hold_core final : public decision_core {
   [[nodiscard]] std::string_view name() const override { return "ewma-hold"; }
 
   std::optional<waiting_policy> decide(const core::observation& obs,
-                                       std::int64_t value,
                                        const waiting_policy& /*cur*/) override {
+    const std::int64_t value = obs.value;
     if (obs.sensor != "lock-hold-time") return std::nullopt;
     if (value <= 0) return std::nullopt;  // no completed hold observed yet
     // Spin long enough to cover one smoothed critical section; a section the
@@ -156,8 +155,8 @@ class multi_sensor_core final : public decision_core {
   [[nodiscard]] std::string_view name() const override { return "multi-sensor"; }
 
   std::optional<waiting_policy> decide(const core::observation& obs,
-                                       std::int64_t value,
                                        const waiting_policy& /*cur*/) override {
+    const std::int64_t value = obs.value;
     if (obs.sensor == "lock-hold-time") {
       hold_us_ = static_cast<double>(value);
       return std::nullopt;

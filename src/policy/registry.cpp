@@ -246,20 +246,11 @@ std::vector<sensor_spec> monitor_default_sensors() {
   return out;
 }
 
-constexpr policy_info kObjectInfos[] = {
-    {"stripe-adapt", "grow/shrink the map's stripe count; probe-length grows buckets",
-     policy_family::map},
-    {"mode-adapt", "flip the monitor between classic and delegated entry",
-     policy_family::monitor},
-};
-
 /// Checks the single registered name of an object family and applies the
 /// shared error UX.
-void expect_object_policy(const policy_spec& spec, std::string_view want,
-                          policy_family f) {
+void expect_object_policy(const policy_spec& spec, std::string_view want) {
   if (spec.name == want) return;
-  throw cli::unknown_value("policy", spec.name,
-                           policy_registry::names(f));
+  throw cli::unknown_value("policy", spec.name, {want});
 }
 
 /// async mode: the object's monitor runs loosely coupled, so feedback
@@ -273,130 +264,7 @@ void apply_exec_mode(core::adaptive_object& obj, const policy_spec& spec) {
 
 }  // namespace
 
-// ------------------------------------------------------- policy_registry
-
-std::span<const policy_info> policy_registry::catalogue() {
-  static const std::vector<policy_info> infos = [] {
-    std::vector<policy_info> v;
-    for (const auto& e : kRegistry) v.push_back(e.info);
-    for (const auto& i : kObjectInfos) v.push_back(i);
-    return v;
-  }();
-  return infos;
-}
-
-std::vector<std::string_view> policy_registry::names(policy_family f) {
-  std::vector<std::string_view> out;
-  for (const auto& i : catalogue()) {
-    if (i.family == f) out.push_back(i.name);
-  }
-  return out;
-}
-
-std::string_view policy_registry::parse(std::string_view name, policy_family f) {
-  for (const auto& i : catalogue()) {
-    if (i.family == f && i.name == name) return i.name;
-  }
-  throw cli::unknown_value("policy", name, names(f));
-}
-
-policy_spec policy_registry::default_spec(std::string_view name,
-                                          std::uint64_t sample_period) {
-  if (name == "stripe-adapt") {
-    policy_spec spec;
-    spec.name = "stripe-adapt";
-    spec.sensors = map_default_sensors();
-    return spec;
-  }
-  if (name == "mode-adapt") {
-    policy_spec spec;
-    spec.name = "mode-adapt";
-    spec.sensors = monitor_default_sensors();
-    return spec;
-  }
-  const auto& e = find_entry(name);
-  policy_spec spec;
-  spec.name = std::string(e.info.name);
-  // simple-adapt with empty sensors IS the default spec: the factory then
-  // keeps the lock's built-in policy, which this registry must not disturb.
-  if (spec.name != "simple-adapt") {
-    spec.sensors = default_sensors(e, sample_period);
-  }
-  return spec;
-}
-
-void policy_registry::install(locks::adaptive_lock& lk,
-                              const locks::lock_params& params,
-                              const locks::lock_cost_model& cost) {
-  const auto& spec = params.policy;
-  const auto& entry = find_entry(spec.name);
-
-  auto sensors = spec.sensors.empty()
-                     ? default_sensors(entry, params.adapt.sample_period)
-                     : spec.sensors;
-
-  // The spec's monitor replaces the lock's built-in one (which carried only
-  // the hard-wired waiting-count sensor), through the object-generic path.
-  // The engine aggregates observations itself, so the monitor registers the
-  // sensors unfolded (fold_in_monitor = false keeps decisions bit-identical
-  // to the pre-sensor_host wiring).
-  lock_sensor_host host(lk);
-  install_sensors(lk, host, sensors, /*fold_in_monitor=*/false);
-  apply_exec_mode(lk, spec);
-
-  auto core = entry.make(spec, params.adapt, cost);
-  // Wrappers are listed outermost-first; build inside-out.
-  for (auto it = spec.wrappers.rbegin(); it != spec.wrappers.rend(); ++it) {
-    if (it->kind == "hysteresis") {
-      core = wrap_hysteresis(std::move(core), it->confirm);
-    } else if (it->kind == "deadband") {
-      core = wrap_deadband(std::move(core), it->band);
-    } else if (it->kind == "cooldown") {
-      core = wrap_cooldown(std::move(core), it->observations);
-    } else {
-      throw std::invalid_argument("unknown wrapper kind: " + it->kind +
-                                  " (valid: hysteresis deadband cooldown)");
-    }
-  }
-
-  std::string full_name(core->name());
-  lk.set_policy(std::make_shared<engine>(lk, std::move(full_name), std::move(core),
-                                         std::move(sensors)));
-}
-
-void policy_registry::install(core::adaptive_object& obj, sensor_host& host,
-                              stripe_controller& ctl, const policy_spec& spec) {
-  expect_object_policy(spec, "stripe-adapt", policy_family::map);
-  const auto sensors = spec.sensors.empty() ? map_default_sensors() : spec.sensors;
-  install_sensors(obj, host, sensors);
-  apply_exec_mode(obj, spec);
-  stripe_adapt_params p;
-  p.skew_grow = static_cast<std::int64_t>(param_or(spec, "skew-grow", 2));
-  p.load_grow = static_cast<std::int64_t>(param_or(spec, "load-grow", 150));
-  p.load_shrink = static_cast<std::int64_t>(param_or(spec, "load-shrink", 50));
-  p.probe_grow = static_cast<std::int64_t>(
-      param_or(spec, "probe-grow", static_cast<double>(stripe_adapt_params{}.probe_grow)));
-  p.confirm = static_cast<std::uint64_t>(param_or(spec, "confirm", 2));
-  p.cooldown = static_cast<std::uint64_t>(param_or(spec, "cooldown", 8));
-  obj.set_policy(std::make_shared<stripe_adapt_policy>(ctl, p));
-}
-
-void policy_registry::install(core::adaptive_object& obj, sensor_host& host,
-                              mode_controller& ctl, const policy_spec& spec) {
-  expect_object_policy(spec, "mode-adapt", policy_family::monitor);
-  const auto sensors = spec.sensors.empty() ? monitor_default_sensors() : spec.sensors;
-  install_sensors(obj, host, sensors);
-  apply_exec_mode(obj, spec);
-  mode_adapt_params p;
-  p.delegate_below_us = static_cast<std::int64_t>(param_or(spec, "delegate-below-us", 30));
-  p.classic_above_us = static_cast<std::int64_t>(param_or(spec, "classic-above-us", 80));
-  p.min_waiters = static_cast<std::int64_t>(param_or(spec, "min-waiters", 1));
-  p.confirm = static_cast<std::uint64_t>(param_or(spec, "confirm", 2));
-  p.cooldown = static_cast<std::uint64_t>(param_or(spec, "cooldown", 4));
-  obj.set_policy(std::make_shared<mode_adapt_policy>(ctl, p));
-}
-
-// ------------------------------------------------------- legacy wrappers
+// ------------------------------------------------------------- public API
 
 std::span<const policy_info> all_policies() {
   static const std::vector<policy_info> infos = [] {
@@ -418,13 +286,93 @@ std::string_view parse_policy_name(std::string_view name) {
 }
 
 policy_spec default_spec(std::string_view name, std::uint64_t sample_period) {
-  (void)find_entry(name);  // lock-family validation (and its error UX)
-  return policy_registry::default_spec(name, sample_period);
+  if (name == "stripe-adapt") {
+    policy_spec spec;
+    spec.name = "stripe-adapt";
+    spec.sensors = map_default_sensors();
+    return spec;
+  }
+  if (name == "mode-adapt") {
+    policy_spec spec;
+    spec.name = "mode-adapt";
+    spec.sensors = monitor_default_sensors();
+    return spec;
+  }
+  const auto& e = find_entry(name);
+  policy_spec spec;
+  spec.name = std::string(e.info.name);
+  // simple-adapt keeps the default value (empty sensors): the lock then
+  // samples at its own adapt.sample_period.
+  if (spec.name != "simple-adapt") {
+    spec.sensors = default_sensors(e, sample_period);
+  }
+  return spec;
 }
 
 void install(locks::adaptive_lock& lk, const locks::lock_params& params,
              const locks::lock_cost_model& cost) {
-  policy_registry::install(lk, params, cost);
+  const auto& spec = params.policy;
+  const auto& entry = find_entry(spec.name);
+
+  auto sensors = spec.sensors.empty()
+                     ? default_sensors(entry, params.adapt.sample_period)
+                     : spec.sensors;
+
+  // The spec's sensors go through the object-generic path; the monitor folds
+  // them, and the engine decides on the folded values.
+  lock_sensor_host host(lk);
+  install_sensors(lk, host, sensors);
+  apply_exec_mode(lk, spec);
+
+  auto core = entry.make(spec, params.adapt, cost);
+  // Wrappers are listed outermost-first; build inside-out.
+  for (auto it = spec.wrappers.rbegin(); it != spec.wrappers.rend(); ++it) {
+    if (it->kind == "hysteresis") {
+      core = wrap_hysteresis(std::move(core), it->confirm);
+    } else if (it->kind == "deadband") {
+      core = wrap_deadband(std::move(core), it->band);
+    } else if (it->kind == "cooldown") {
+      core = wrap_cooldown(std::move(core), it->observations);
+    } else {
+      throw std::invalid_argument("unknown wrapper kind: " + it->kind +
+                                  " (valid: hysteresis deadband cooldown)");
+    }
+  }
+
+  std::string full_name(core->name());
+  lk.set_engine(std::make_shared<engine>(lk, std::move(full_name), std::move(core)));
+}
+
+void install(core::adaptive_object& obj, sensor_host& host, stripe_controller& ctl,
+             const policy_spec& spec) {
+  expect_object_policy(spec, "stripe-adapt");
+  const auto sensors = spec.sensors.empty() ? map_default_sensors() : spec.sensors;
+  install_sensors(obj, host, sensors);
+  apply_exec_mode(obj, spec);
+  stripe_adapt_params p;
+  p.skew_grow = static_cast<std::int64_t>(param_or(spec, "skew-grow", 2));
+  p.load_grow = static_cast<std::int64_t>(param_or(spec, "load-grow", 150));
+  p.load_shrink = static_cast<std::int64_t>(param_or(spec, "load-shrink", 50));
+  p.probe_grow = static_cast<std::int64_t>(
+      param_or(spec, "probe-grow", static_cast<double>(stripe_adapt_params{}.probe_grow)));
+  p.confirm = static_cast<std::uint64_t>(param_or(spec, "confirm", 2));
+  p.cooldown = static_cast<std::uint64_t>(param_or(spec, "cooldown", 8));
+  obj.set_policy(std::make_shared<stripe_adapt_policy>(ctl, p));
+}
+
+void install(core::adaptive_object& obj, sensor_host& host, mode_controller& ctl,
+             const policy_spec& spec) {
+  expect_object_policy(spec, "mode-adapt");
+  const auto sensors = spec.sensors.empty() ? monitor_default_sensors() : spec.sensors;
+  install_sensors(obj, host, sensors);
+  apply_exec_mode(obj, spec);
+  mode_adapt_params p;
+  p.delegate_below_us = static_cast<std::int64_t>(param_or(spec, "delegate-below-us", 30));
+  p.classic_above_us = static_cast<std::int64_t>(param_or(spec, "classic-above-us", 80));
+  p.min_waiters = static_cast<std::int64_t>(param_or(spec, "min-waiters", 1));
+  p.confirm = static_cast<std::uint64_t>(param_or(spec, "confirm", 2));
+  p.cooldown = static_cast<std::uint64_t>(param_or(spec, "cooldown", 4));
+  obj.set_policy(std::make_shared<mode_adapt_policy>(ctl, p));
 }
 
 }  // namespace adx::policy

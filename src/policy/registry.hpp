@@ -1,11 +1,12 @@
 // The policy registry: the by-name catalogue of adaptation policies and the
-// single registration surface (`policy_registry`) that turns a
-// `policy_spec` into a live monitor + policy pair on any adaptive object.
+// install functions that turn a `policy_spec` into a live monitor + policy
+// pair on any adaptive object.
 //
-// One class owns every install path:
+// One overload of `install` per family:
 //   - lock family   (simple-adapt, break-even, ewma-hold, multi-sensor):
-//     installed on a `locks::adaptive_lock` — the layer `locks::factory`
-//     calls through and the sweep axis for adx-check (`--policies=all`).
+//     installed on a `locks::adaptive_lock` — its constructor calls it, so
+//     the default simple-adapt and every other lock policy run the same
+//     engine; the lock family is also adx-check's `--policies=all` axis.
 //   - map family    (stripe-adapt): installed on anything exposing a
 //     `stripe_controller` (the adaptive hash map).
 //   - monitor family (mode-adapt): installed on anything exposing a
@@ -16,10 +17,7 @@
 // at feedback points; `async` switches the object's monitor to loose
 // coupling so observations queue for the periodic policy runtime,
 // `policy::async_runtime`, and the fast path carries zero policy cost).
-//
-// The free functions at the bottom (`install`, `all_policies`, ...) are the
-// pre-unification surface kept as thin wrappers; new code should call
-// `policy_registry` directly.
+// Every install folds sensor samples in the object's monitor.
 #pragma once
 
 #include <span>
@@ -36,69 +34,10 @@
 
 namespace adx::policy {
 
-/// Which kind of adaptive object a registered policy drives.
-enum class policy_family : std::uint8_t { lock, map, monitor };
-
-[[nodiscard]] constexpr const char* to_string(policy_family f) {
-  switch (f) {
-    case policy_family::lock: return "lock";
-    case policy_family::map: return "map";
-    case policy_family::monitor: return "monitor";
-  }
-  return "?";
-}
-
 struct policy_info {
   std::string_view name;
   std::string_view description;
-  policy_family family = policy_family::lock;
 };
-
-/// The unified registration API. All members are static — the catalogue is
-/// compiled in; there is no mutable global state.
-class policy_registry {
- public:
-  /// Every registered policy across all families, in registration order.
-  [[nodiscard]] static std::span<const policy_info> catalogue();
-
-  /// Names within one family (the `--policies` sweep axis is the lock
-  /// family).
-  [[nodiscard]] static std::vector<std::string_view> names(policy_family f);
-
-  /// Validates a name within a family; throws std::invalid_argument listing
-  /// that family's valid names (shared cli::unknown_value UX).
-  [[nodiscard]] static std::string_view parse(std::string_view name,
-                                              policy_family f);
-
-  /// The canonical spec for a registered policy of any family: its name
-  /// plus its default sensor set. For the lock family, sensor periods come
-  /// from `sample_period`; for "simple-adapt" the sensors vector is left
-  /// empty so the spec stays `is_default()` and the lock factory keeps the
-  /// built-in bit-identical path.
-  [[nodiscard]] static policy_spec default_spec(std::string_view name,
-                                                std::uint64_t sample_period = 2);
-
-  /// Installs the lock-family policy described by `params.policy` on `lk`:
-  /// replaces the monitor's sensor set with the spec's (falling back to the
-  /// policy's default sensors), builds the wrapped decision core, and sets
-  /// it as the lock's adaptation policy. Throws std::invalid_argument on
-  /// unknown policy, sensor or wrapper names.
-  static void install(locks::adaptive_lock& lk, const locks::lock_params& params,
-                      const locks::lock_cost_model& cost);
-
-  /// Installs a map-family policy ("stripe-adapt") driving `ctl`, with
-  /// sensors installed on `obj`'s monitor through `host`.
-  static void install(core::adaptive_object& obj, sensor_host& host,
-                      stripe_controller& ctl, const policy_spec& spec);
-
-  /// Installs a monitor-family policy ("mode-adapt") driving `ctl`.
-  static void install(core::adaptive_object& obj, sensor_host& host,
-                      mode_controller& ctl, const policy_spec& spec);
-};
-
-// ------------------------------------------------------- legacy wrappers
-// The pre-unification lock-family surface. Deprecated: call
-// `policy_registry` directly (see DESIGN.md's migration note).
 
 /// Every lock-family policy, in registration order.
 [[nodiscard]] std::span<const policy_info> all_policies();
@@ -108,12 +47,31 @@ class policy_registry {
 /// listing every registered name on unknown input.
 [[nodiscard]] std::string_view parse_policy_name(std::string_view name);
 
-/// policy_registry::default_spec restricted to the lock family.
+/// The canonical spec for a registered policy of any family: its name plus
+/// its default sensor set. For the lock family, sensor periods come from
+/// `sample_period`. "simple-adapt" keeps an empty sensor list, so its spec
+/// is the default value: the lock installs its one `no-of-waiting-threads`
+/// sensor at the lock's own `adapt.sample_period`. Throws
+/// std::invalid_argument listing the lock-family names on unknown input.
 [[nodiscard]] policy_spec default_spec(std::string_view name,
                                        std::uint64_t sample_period = 2);
 
-/// policy_registry::install for locks (the factory's historical entry).
+/// Installs the lock-family policy described by `params.policy` on `lk`:
+/// replaces the monitor's sensor set with the spec's (falling back to the
+/// policy's default sensors at `params.adapt.sample_period`), builds the
+/// wrapped decision core, and makes the engine driving it the lock's
+/// adaptation policy. Throws std::invalid_argument on unknown policy,
+/// sensor or wrapper names and on a sensor named twice.
 void install(locks::adaptive_lock& lk, const locks::lock_params& params,
              const locks::lock_cost_model& cost);
+
+/// Installs a map-family policy ("stripe-adapt") driving `ctl`, with
+/// sensors installed on `obj`'s monitor through `host`.
+void install(core::adaptive_object& obj, sensor_host& host, stripe_controller& ctl,
+             const policy_spec& spec);
+
+/// Installs a monitor-family policy ("mode-adapt") driving `ctl`.
+void install(core::adaptive_object& obj, sensor_host& host, mode_controller& ctl,
+             const policy_spec& spec);
 
 }  // namespace adx::policy

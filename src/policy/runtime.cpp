@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "locks/reconfigurable_lock.hpp"
+#include "policy/engine.hpp"
 
 namespace adx::policy {
 
@@ -138,12 +139,11 @@ ct::task<void> async_runtime::charge(ct::context& ctx, const registration& r,
     if (r.lock != nullptr) {
       co_await ctx.touch(r.lock->home(), sim::access_kind::read, reconfigs);
       co_await ctx.touch(r.lock->home(), sim::access_kind::write, reconfigs);
-      if (auto* p = dynamic_cast<const locks::lock_adapt_policy*>(r.lock->policy())) {
-        const auto& d = p->last_decision();
-        r.lock->stats().on_reconfigure(ctx.now(), ctx.self(), d.sensor_value,
-                                       locks::describe(d.applied), p->policy_name(),
-                                       d.sensors);
-      }
+      const auto& e = r.lock->engine();
+      const auto& d = e.last_decision();
+      r.lock->stats().on_reconfigure(ctx.now(), ctx.self(), d.sensor_value,
+                                     locks::describe(d.applied), e.policy_name(),
+                                     d.sensors);
     }
   }
 }

@@ -7,7 +7,9 @@
 // one `install_sensors` path wires a declarative sensor list (the
 // `policy_spec::sensors` vector a run_config carries) onto any of them with
 // the same validation UX: an unknown sensor name throws
-// std::invalid_argument listing every name the host exposes.
+// std::invalid_argument listing every name the host exposes, and so does a
+// name listed twice. The object's monitor folds every sensor (last-value,
+// EWMA or max-in-window); no policy keeps a second fold.
 #pragma once
 
 #include <span>
@@ -41,15 +43,11 @@ class sensor_host {
 [[nodiscard]] core::sensor_aggregation to_core_aggregation(const sensor_spec& s);
 
 /// Replaces `obj`'s monitor sensors with `specs`, each built by `host` and
-/// registered with its spec's aggregation fold. Validation happens before the
-/// first sensor is installed: on an unknown name the monitor is untouched.
-///
-/// `fold_in_monitor = false` registers every sensor unfolded (last-value):
-/// the lock policy engine predates the core-level folds and keeps its own
-/// aggregators for bit-compatible decision records, so the lock install path
-/// must not fold twice. Object-level policies (hash map, monitor object)
-/// use the default and consume monitor-aggregated observations directly.
+/// registered with its spec's aggregation fold; the object's policy then
+/// sees folded values. Validation happens before the first sensor is
+/// installed: on an unknown name, or a name listed twice, it throws
+/// std::invalid_argument and the monitor is untouched.
 void install_sensors(core::adaptive_object& obj, sensor_host& host,
-                     std::span<const sensor_spec> specs, bool fold_in_monitor = true);
+                     std::span<const sensor_spec> specs);
 
 }  // namespace adx::policy

@@ -8,13 +8,15 @@
 // records which policy it ran), buildable fluently, comparable for equality.
 //
 // This header is deliberately dependency-free (stdlib + the obs JSON
-// helpers): `locks::lock_params` embeds a policy_spec without the locks
-// library depending on the policy *engine*. The engine — the registry,
-// sensor sources, decision cores and combinators that turn a spec into a
-// running policy — lives above locks in src/policy/{registry,engine,...}.
+// helpers): `locks::lock_params` and the adaptive lock's constructor take a
+// policy_spec without the locks library depending on the policy *engine*.
+// The engine — the registry, sensor sources, decision cores and combinators
+// that turn a spec into a running policy — lives above locks in
+// src/policy/{registry,engine,...}.
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -116,8 +118,7 @@ struct wrapper_spec {
 
 struct policy_spec {
   /// Registered policy name. "simple-adapt" with no params/sensors/wrappers
-  /// is the default and preserves the built-in adaptive-lock behavior
-  /// bit-for-bit.
+  /// is the default: the paper's rule on one waiting-count sensor.
   std::string name = "simple-adapt";
   /// Policy-specific numeric knobs; absent keys take the policy's defaults
   /// (for simple-adapt, the lock's `simple_adapt_params`).
@@ -139,10 +140,10 @@ struct policy_spec {
 
   friend bool operator==(const policy_spec&, const policy_spec&) = default;
 
-  /// True for the spec value that means "the built-in simple-adapt loop with
-  /// the lock's own parameters" — the factory's bit-identical fast path.
-  /// Any async spec is non-default: even async simple-adapt must go through
-  /// the engine so the runtime can drain its queued observations.
+  /// True for the default value: simple-adapt with the lock's own
+  /// `simple_adapt_params`, its default sensor and no wrappers, run
+  /// synchronously. run_config omits an object_policy that is default from
+  /// its JSON, and adx-check then keeps the object's own default policy.
   [[nodiscard]] bool is_default() const {
     return name == "simple-adapt" && params.empty() && sensors.empty() &&
            wrappers.empty() && mode == exec_mode::sync && !coordinate;
@@ -274,7 +275,16 @@ inline policy_spec policy_spec::from_json_value(const obs::jvalue& v) {
       if (const auto* f = obs::json_find(so, "name")) s.name = f->str();
       if (const auto* f = obs::json_find(so, "period")) s.period = f->number<std::uint64_t>();
       if (const auto* f = obs::json_find(so, "agg")) s.agg = parse_aggregation(f->str());
-      if (const auto* f = obs::json_find(so, "ewma_alpha")) s.ewma_alpha = f->number<double>();
+      if (const auto* f = obs::json_find(so, "ewma_alpha")) {
+        s.ewma_alpha = f->number<double>();
+        // The fold mixes alpha of the new sample into (1 - alpha) of the old
+        // average: outside (0, 1] it never converges, and NaN rounds to
+        // nothing meaningful.
+        if (!std::isfinite(s.ewma_alpha) || s.ewma_alpha <= 0.0 || s.ewma_alpha > 1.0) {
+          throw std::invalid_argument("policy_spec: ewma_alpha must be in (0, 1], got " +
+                                      detail::spec_num(s.ewma_alpha));
+        }
+      }
       if (const auto* f = obs::json_find(so, "window")) s.window = f->number<std::uint64_t>();
       spec.sensors.push_back(std::move(s));
     }

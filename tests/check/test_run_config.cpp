@@ -97,6 +97,22 @@ TEST(RunConfig, RejectsZeroGroupSize) {
   EXPECT_EQ(rc.machine.group_size, 4u);
 }
 
+TEST(RunConfig, RejectsABadEwmaAlphaInTheLockPolicy) {
+  auto rc = run_config{}.with_lock(locks::lock_kind::adaptive);
+  rc.params.policy = policy::default_spec("ewma-hold");
+  auto json = rc.to_json();
+  const std::string good = "\"ewma_alpha\":0.25";
+  const auto at = json.find(good);
+  ASSERT_NE(at, std::string::npos) << json;
+  json.replace(at, good.size(), "\"ewma_alpha\":2");
+  try {
+    (void)run_config::from_json(json);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ewma_alpha"), std::string::npos) << e.what();
+  }
+}
+
 TEST(RunConfig, FluentBuilderSetsEveryField) {
   const auto rc = run_config{}
                       .with_nodes(6)

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ct/context.hpp"
+#include "obs/tracer.hpp"
+#include "policy/engine.hpp"
 
 namespace adx::locks {
 namespace {
@@ -207,13 +212,40 @@ TEST(AdaptiveLock, KindString) {
   EXPECT_EQ(lk.kind(), "adaptive");
 }
 
+TEST(AdaptiveLock, ReconfigureAnnotationNamesTheDefaultPolicy) {
+  // The default lock's d_c carries the registry policy's name and its
+  // sensor vector — what trace readers and CI key on.
+  obs::tracer tr;
+  tr.enable();
+  ct::runtime rt(mc());
+  adaptive_lock lk(0, cost());
+  lk.stats().attach_tracer(&tr, "qlock", 0);
+  rt.fork(0, [&](ct::context& ctx) -> ct::task<void> {
+    for (int i = 0; i < 4; ++i) {
+      co_await lk.lock(ctx);
+      co_await lk.unlock(ctx);
+    }
+  });
+  rt.run_all();
+  std::vector<std::string> decisions;
+  for (const auto& e : tr.events()) {
+    if (e.name == "qlock.reconfigure") decisions.push_back(e.detail);
+  }
+  ASSERT_EQ(decisions.size(), 1u);
+  EXPECT_EQ(decisions[0],
+            "pure-spin(200) policy=simple-adapt sensors=no-of-waiting-threads=0");
+}
+
+// The paper's rule as the registry builds it: the default adaptive lock's
+// policy, observed directly.
 TEST(SimpleAdaptPolicy, FollowsPaperPseudocode) {
-  reconfigurable_lock lk(0, cost(), waiting_policy::mixed(30));
   simple_adapt_params p;
   p.waiting_threshold = 4;
   p.n = 10;
   p.spin_cap = 100;
-  simple_adapt_policy pol(lk, p);
+  adaptive_lock lk(0, cost(), p, waiting_policy::mixed(30));
+  auto& pol = lk.engine();
+  EXPECT_EQ(pol.policy_name(), "simple-adapt");
 
   // waiting == 0 -> pure spin at cap.
   pol.observe({"no-of-waiting-threads", 0});
@@ -237,11 +269,10 @@ TEST(SimpleAdaptPolicy, FollowsPaperPseudocode) {
 }
 
 TEST(SimpleAdaptPolicy, IgnoresForeignSensors) {
-  reconfigurable_lock lk(0, cost(), waiting_policy::mixed(30));
-  simple_adapt_policy pol(lk, {});
-  pol.observe({"some-other-sensor", 99});
+  adaptive_lock lk(0, cost(), {}, waiting_policy::mixed(30));
+  lk.engine().observe({"some-other-sensor", 99});
   EXPECT_EQ(lk.current_policy(), waiting_policy::mixed(30));
-  EXPECT_EQ(pol.decisions(), 0u);
+  EXPECT_EQ(lk.engine().decisions(), 0u);
 }
 
 }  // namespace

@@ -36,8 +36,14 @@ TEST(Registry, ParseErrorListsTheValidPolicies) {
 }
 
 TEST(Registry, DefaultSpecOfSimpleAdaptIsTheDefault) {
-  // Keeps the factory on the built-in bit-identical path.
+  // Empty sensors: the lock samples at its own adapt.sample_period.
   EXPECT_TRUE(default_spec("simple-adapt").is_default());
+}
+
+TEST(Registry, DefaultSpecCoversTheObjectFamilies) {
+  EXPECT_EQ(default_spec("stripe-adapt").sensors.size(), 3u);
+  EXPECT_EQ(default_spec("mode-adapt").sensors.size(), 3u);
+  EXPECT_THROW((void)default_spec("fancy-adapt"), std::invalid_argument);
 }
 
 TEST(Registry, DefaultSpecsCarryTheirSensors) {
@@ -62,9 +68,8 @@ TEST(Registry, InstallReplacesSensorsAndPolicy) {
   ASSERT_EQ(lk.object_monitor().sensor_count(), 2u);
   EXPECT_EQ(lk.object_monitor().sensor_at(0).name(), "no-of-waiting-threads");
   EXPECT_EQ(lk.object_monitor().sensor_at(1).name(), "lock-hold-time");
-  const auto* p = dynamic_cast<const locks::lock_adapt_policy*>(lk.policy());
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->policy_name(), "break-even");
+  EXPECT_EQ(lk.engine().policy_name(), "break-even");
+  EXPECT_EQ(lk.policy(), &lk.engine());
 }
 
 TEST(Registry, InstallAppliesWrappersOutermostFirst) {
@@ -72,11 +77,9 @@ TEST(Registry, InstallAppliesWrappersOutermostFirst) {
   locks::lock_params params;
   params.policy = default_spec("ewma-hold").with_hysteresis(2).with_cooldown(3);
   install(lk, params, cost());
-  const auto* p = dynamic_cast<const locks::lock_adapt_policy*>(lk.policy());
-  ASSERT_NE(p, nullptr);
   // Wrapper names accumulate inside-out: cooldown is innermost-applied last
   // in the list, so the full name reads core+cooldown+hysteresis.
-  EXPECT_EQ(p->policy_name(), "ewma-hold+cooldown+hysteresis");
+  EXPECT_EQ(lk.engine().policy_name(), "ewma-hold+cooldown+hysteresis");
 }
 
 TEST(Registry, InstallRejectsUnknownPolicy) {
@@ -84,6 +87,33 @@ TEST(Registry, InstallRejectsUnknownPolicy) {
   locks::lock_params params;
   params.policy.name = "fancy-adapt";
   EXPECT_THROW(install(lk, params, cost()), std::invalid_argument);
+  // The constructor installs through the same path.
+  EXPECT_THROW(locks::adaptive_lock(0, cost(), {}, locks::waiting_policy::mixed(10),
+                                    params.policy),
+               std::invalid_argument);
+}
+
+TEST(Registry, InstallRejectsASensorNamedTwice) {
+  // Two entries for one sensor used to feed both samples into the first
+  // entry's fold and report the second as 0.
+  locks::adaptive_lock lk(0, cost());
+  sensor_spec hold;
+  hold.name = "lock-hold-time";
+  hold.agg = aggregation::ewma;
+  locks::lock_params params;
+  params.policy =
+      policy_spec{}.with_name("break-even").with_sensor({}).with_sensor(hold).with_sensor(hold);
+  try {
+    install(lk, params, cost());
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("sensors"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("lock-hold-time"), std::string::npos) << msg;
+  }
+  // Validation runs first: the lock keeps its monitor and its policy.
+  ASSERT_EQ(lk.object_monitor().sensor_count(), 1u);
+  EXPECT_EQ(lk.engine().policy_name(), "simple-adapt");
 }
 
 TEST(Registry, MakeLockRoutesNonDefaultSpecsThroughTheEngine) {
@@ -92,18 +122,21 @@ TEST(Registry, MakeLockRoutesNonDefaultSpecsThroughTheEngine) {
   const auto lk = locks::make_lock(locks::lock_kind::adaptive, 0, cost(), params);
   auto* al = dynamic_cast<locks::adaptive_lock*>(lk.get());
   ASSERT_NE(al, nullptr);
-  const auto* p = dynamic_cast<const locks::lock_adapt_policy*>(al->policy());
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->policy_name(), "multi-sensor");
+  EXPECT_EQ(al->engine().policy_name(), "multi-sensor");
   EXPECT_EQ(al->object_monitor().sensor_count(), 2u);
 }
 
-TEST(Registry, MakeLockDefaultSpecKeepsTheBuiltinPolicy) {
-  const auto lk = locks::make_lock(locks::lock_kind::adaptive, 0, cost(), {});
+TEST(Registry, MakeLockDefaultSpecRunsTheRegistrySimpleAdapt) {
+  locks::lock_params params;
+  params.adapt.sample_period = 3;
+  const auto lk = locks::make_lock(locks::lock_kind::adaptive, 0, cost(), params);
   auto* al = dynamic_cast<locks::adaptive_lock*>(lk.get());
   ASSERT_NE(al, nullptr);
-  // The built-in simple_adapt_policy, not an engine instance.
-  EXPECT_NE(dynamic_cast<const locks::simple_adapt_policy*>(al->policy()), nullptr);
+  EXPECT_EQ(al->engine().policy_name(), "simple-adapt");
+  const auto& m = al->object_monitor();
+  ASSERT_EQ(m.sensor_count(), 1u);
+  EXPECT_EQ(m.sensor_at(0).name(), "no-of-waiting-threads");
+  EXPECT_EQ(m.sensor_at(0).period(), 3u);
 }
 
 }  // namespace

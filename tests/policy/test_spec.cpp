@@ -100,6 +100,28 @@ TEST(PolicySpec, RejectsUnknownWrapperKind) {
   }
 }
 
+TEST(PolicySpec, RejectsEwmaAlphaOutsideZeroToOne) {
+  // alpha weighs the newest sample against the running average; outside
+  // (0, 1] the fold diverges or never moves.
+  for (const char* alpha : {"0", "-0.5", "1.5", "1e300"}) {
+    const std::string json =
+        std::string(R"({"name":"ewma-hold","sensors":[{"name":"lock-hold-time",)") +
+        R"("agg":"ewma","ewma_alpha":)" + alpha + "}]}";
+    try {
+      (void)policy_spec::from_json(json);
+      FAIL() << "accepted ewma_alpha " << alpha;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("ewma_alpha"), std::string::npos) << e.what();
+    }
+  }
+  for (const char* alpha : {"1", "0.25", "1e-9"}) {
+    const std::string json =
+        std::string(R"({"name":"ewma-hold","sensors":[{"name":"lock-hold-time",)") +
+        R"("agg":"ewma","ewma_alpha":)" + alpha + "}]}";
+    EXPECT_NO_THROW((void)policy_spec::from_json(json)) << alpha;
+  }
+}
+
 TEST(PolicySpec, MissingKeysKeepDefaults) {
   const auto s = policy_spec::from_json(R"({"name":"ewma-hold"})");
   EXPECT_EQ(s.name, "ewma-hold");
