@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <stdexcept>
 
 namespace adx::policy {
 
@@ -22,6 +24,18 @@ double default_break_even_us(const locks::lock_cost_model& cost) {
       .us();
 }
 
+/// A knob present in `spec` if it lies in [lo, hi): finite, and 2^63 and
+/// 2^64 are exact doubles, so every value passing truncates into range.
+double checked_knob(const policy_spec& spec, std::string_view key, double value, double lo,
+                    double hi) {
+  if (value >= lo && value < hi) return value;
+  std::ostringstream msg;
+  msg << "policy " << spec.name << ": knob " << key << " = " << value
+      << " is not finite or is outside the knob's integer range";
+  if (lo == 0) msg << " (it must not be negative)";
+  throw std::invalid_argument(msg.str());
+}
+
 std::int64_t clamp_spins(double spins, std::int64_t cap) {
   if (spins < 1.0) return 1;
   if (spins > static_cast<double>(cap)) return cap;
@@ -33,11 +47,9 @@ std::int64_t clamp_spins(double spins, std::int64_t cap) {
 class simple_adapt_core final : public decision_core {
  public:
   simple_adapt_core(const policy_spec& spec, const locks::simple_adapt_params& d)
-      : threshold_(static_cast<std::int64_t>(knob(spec, "waiting_threshold",
-                                                  static_cast<double>(d.waiting_threshold)))),
-        n_(static_cast<std::int64_t>(knob(spec, "n", static_cast<double>(d.n)))),
-        spin_cap_(static_cast<std::int64_t>(knob(spec, "spin_cap",
-                                                 static_cast<double>(d.spin_cap)))),
+      : threshold_(int_knob(spec, "waiting_threshold", d.waiting_threshold)),
+        n_(int_knob(spec, "n", d.n)),
+        spin_cap_(int_knob(spec, "spin_cap", d.spin_cap, 0)),
         pure_spin_on_idle_(knob(spec, "pure_spin_on_idle",
                                 d.pure_spin_on_idle ? 1.0 : 0.0) != 0.0) {}
 
@@ -76,8 +88,7 @@ class break_even_core final : public decision_core {
   break_even_core(const policy_spec& spec, const locks::simple_adapt_params& d,
                   const locks::lock_cost_model& cost)
       : break_even_us_(knob(spec, "break_even_us", default_break_even_us(cost))),
-        spin_cap_(static_cast<std::int64_t>(knob(spec, "spin_cap",
-                                                 static_cast<double>(d.spin_cap)))),
+        spin_cap_(int_knob(spec, "spin_cap", d.spin_cap, 0)),
         spin_pause_us_(cost.spin_pause.us()) {}
 
   [[nodiscard]] std::string_view name() const override { return "break-even"; }
@@ -116,8 +127,7 @@ class ewma_hold_core final : public decision_core {
  public:
   ewma_hold_core(const policy_spec& spec, const locks::simple_adapt_params& d,
                  const locks::lock_cost_model& cost)
-      : spin_cap_(static_cast<std::int64_t>(knob(spec, "spin_cap",
-                                                 static_cast<double>(d.spin_cap)))),
+      : spin_cap_(int_knob(spec, "spin_cap", d.spin_cap, 0)),
         spin_pause_us_(cost.spin_pause.us()) {}
 
   [[nodiscard]] std::string_view name() const override { return "ewma-hold"; }
@@ -145,10 +155,8 @@ class multi_sensor_core final : public decision_core {
  public:
   multi_sensor_core(const policy_spec& spec, const locks::simple_adapt_params& d,
                     const locks::lock_cost_model& cost)
-      : threshold_(static_cast<std::int64_t>(knob(spec, "waiting_threshold",
-                                                  static_cast<double>(d.waiting_threshold)))),
-        spin_cap_(static_cast<std::int64_t>(knob(spec, "spin_cap",
-                                                 static_cast<double>(d.spin_cap)))),
+      : threshold_(int_knob(spec, "waiting_threshold", d.waiting_threshold)),
+        spin_cap_(int_knob(spec, "spin_cap", d.spin_cap, 0)),
         spin_budget_us_(knob(spec, "spin_budget_us", default_break_even_us(cost))),
         spin_pause_us_(cost.spin_pause.us()) {}
 
@@ -182,6 +190,20 @@ class multi_sensor_core final : public decision_core {
 };
 
 }  // namespace
+
+std::int64_t int_knob(const policy_spec& spec, std::string_view key, std::int64_t fallback,
+                      std::int64_t lo) {
+  const auto it = spec.params.find(key);
+  if (it == spec.params.end()) return fallback;
+  return static_cast<std::int64_t>(
+      checked_knob(spec, key, it->second, static_cast<double>(lo), 0x1p63));
+}
+
+std::uint64_t count_knob(const policy_spec& spec, std::string_view key, std::uint64_t fallback) {
+  const auto it = spec.params.find(key);
+  if (it == spec.params.end()) return fallback;
+  return static_cast<std::uint64_t>(checked_knob(spec, key, it->second, 0, 0x1p64));
+}
 
 std::unique_ptr<decision_core> make_simple_adapt_core(
     const policy_spec& spec, const locks::simple_adapt_params& defaults,

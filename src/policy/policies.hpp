@@ -4,7 +4,10 @@
 // and its cost model).
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string_view>
 
 #include "locks/adaptive_lock.hpp"
 #include "locks/cost_model.hpp"
@@ -13,9 +16,21 @@
 
 namespace adx::policy {
 
+/// Knob `key` of `spec` as an integer: `fallback` when absent, otherwise the
+/// value truncated toward zero. Knobs come from run_config / policy_spec
+/// JSON, so a value that is not finite or does not fit [lo, INT64_MAX]
+/// throws std::invalid_argument naming the knob.
+[[nodiscard]] std::int64_t int_knob(const policy_spec& spec, std::string_view key,
+                                    std::int64_t fallback,
+                                    std::int64_t lo = std::numeric_limits<std::int64_t>::min());
+
+/// A count knob (confirm, cooldown) as int_knob does it, into [0, UINT64_MAX].
+[[nodiscard]] std::uint64_t count_knob(const policy_spec& spec, std::string_view key,
+                                       std::uint64_t fallback);
+
 /// The paper's §4 rule, the adaptive lock's default policy (see
 /// locks/adaptive_lock.hpp for the pseudocode). Knobs: waiting_threshold, n,
-/// spin_cap, pure_spin_on_idle (0/1).
+/// spin_cap (>= 0, as in every core), pure_spin_on_idle (0/1).
 [[nodiscard]] std::unique_ptr<decision_core> make_simple_adapt_core(
     const policy_spec& spec, const locks::simple_adapt_params& defaults,
     const locks::lock_cost_model& cost);

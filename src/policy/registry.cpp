@@ -16,11 +16,6 @@ namespace adx::policy {
 
 namespace {
 
-double param_or(const policy_spec& spec, std::string_view key, double fallback) {
-  const auto it = spec.params.find(key);
-  return it == spec.params.end() ? fallback : it->second;
-}
-
 // ------------------------------------------------------------ lock family
 
 using core_factory = std::unique_ptr<decision_core> (*)(
@@ -350,13 +345,12 @@ void install(core::adaptive_object& obj, sensor_host& host, stripe_controller& c
   install_sensors(obj, host, sensors);
   apply_exec_mode(obj, spec);
   stripe_adapt_params p;
-  p.skew_grow = static_cast<std::int64_t>(param_or(spec, "skew-grow", 2));
-  p.load_grow = static_cast<std::int64_t>(param_or(spec, "load-grow", 150));
-  p.load_shrink = static_cast<std::int64_t>(param_or(spec, "load-shrink", 50));
-  p.probe_grow = static_cast<std::int64_t>(
-      param_or(spec, "probe-grow", static_cast<double>(stripe_adapt_params{}.probe_grow)));
-  p.confirm = static_cast<std::uint64_t>(param_or(spec, "confirm", 2));
-  p.cooldown = static_cast<std::uint64_t>(param_or(spec, "cooldown", 8));
+  p.skew_grow = int_knob(spec, "skew-grow", p.skew_grow);
+  p.load_grow = int_knob(spec, "load-grow", p.load_grow);
+  p.load_shrink = int_knob(spec, "load-shrink", p.load_shrink);
+  p.probe_grow = int_knob(spec, "probe-grow", p.probe_grow);
+  p.confirm = count_knob(spec, "confirm", p.confirm);
+  p.cooldown = count_knob(spec, "cooldown", p.cooldown);
   obj.set_policy(std::make_shared<stripe_adapt_policy>(ctl, p));
 }
 
@@ -367,11 +361,11 @@ void install(core::adaptive_object& obj, sensor_host& host, mode_controller& ctl
   install_sensors(obj, host, sensors);
   apply_exec_mode(obj, spec);
   mode_adapt_params p;
-  p.delegate_below_us = static_cast<std::int64_t>(param_or(spec, "delegate-below-us", 30));
-  p.classic_above_us = static_cast<std::int64_t>(param_or(spec, "classic-above-us", 80));
-  p.min_waiters = static_cast<std::int64_t>(param_or(spec, "min-waiters", 1));
-  p.confirm = static_cast<std::uint64_t>(param_or(spec, "confirm", 2));
-  p.cooldown = static_cast<std::uint64_t>(param_or(spec, "cooldown", 4));
+  p.delegate_below_us = int_knob(spec, "delegate-below-us", p.delegate_below_us);
+  p.classic_above_us = int_knob(spec, "classic-above-us", p.classic_above_us);
+  p.min_waiters = int_knob(spec, "min-waiters", p.min_waiters);
+  p.confirm = count_knob(spec, "confirm", p.confirm);
+  p.cooldown = count_knob(spec, "cooldown", p.cooldown);
   obj.set_policy(std::make_shared<mode_adapt_policy>(ctl, p));
 }
 

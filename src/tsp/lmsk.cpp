@@ -1,86 +1,222 @@
 #include "tsp/lmsk.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 namespace adx::tsp {
 
-subproblem lmsk::root() {
-  const int n = inst_->n();
-  subproblem sp;
+namespace {
+
+// The kernels' vectors: GCC vector extensions of 8 int16 lanes, one SSE2
+// register on x86-64 — no -march flag and no second path per ISA.
+using vec = cell_t __attribute__((vector_size(16)));
+using byte_vec = std::int8_t __attribute__((vector_size(8)));
+constexpr std::size_t kLanes = cost_matrix::kLanes;
+static_assert(sizeof(vec) == kLanes * sizeof(cell_t));
+
+vec load(const cell_t* p) {
+  vec x;
+  std::memcpy(&x, p, sizeof x);
+  return x;
+}
+void store(cell_t* p, vec x) { std::memcpy(p, &x, sizeof x); }
+vec splat(cell_t c) { return vec{} + c; }
+vec vmin(vec a, vec b) { return a < b ? a : b; }
+vec vmax(vec a, vec b) { return a < b ? b : a; }
+
+/// x - d in every finite lane; kInf lanes stay kInf.
+vec sub_finite(vec x, vec d) { return x < kInf ? x - d : x; }
+
+/// Bit 8l set for each lane l of x that is zero.
+std::uint64_t zero_lanes(vec x) {
+  const byte_vec b = __builtin_convertvector(x == 0, byte_vec);
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &b, sizeof bits);
+  return bits & 0x0101010101010101ULL;
+}
+
+/// One butterfly step of fold(): merges each lane's two smallest with those
+/// of the lane `mask` pairs it with.
+inline void fold_step(vec& lo, vec& hi, vec mask) {
+  const vec lo2 = __builtin_shuffle(lo, mask);
+  const vec hi2 = __builtin_shuffle(hi, mask);
+  hi = vmin(vmax(lo, lo2), vmin(hi, hi2));
+  lo = vmin(lo, lo2);
+}
+
+/// Folds per-lane two smallest values (lo <= hi in each lane) into the two
+/// smallest of all lanes, as a multiset, in lane 0. Each step merges
+/// disjoint lane groups, so no value counts twice.
+void fold(vec& lo, vec& hi) {
+  fold_step(lo, hi, vec{4, 5, 6, 7, 0, 1, 2, 3});
+  fold_step(lo, hi, vec{2, 3, 0, 1, 6, 7, 4, 5});
+  fold_step(lo, hi, vec{1, 0, 3, 2, 5, 4, 7, 6});
+}
+
+/// Smallest lane of x.
+cell_t hmin(vec x) {
+  x = vmin(x, __builtin_shuffle(x, vec{4, 5, 6, 7, 0, 1, 2, 3}));
+  x = vmin(x, __builtin_shuffle(x, vec{2, 3, 0, 1, 6, 7, 4, 5}));
+  x = vmin(x, __builtin_shuffle(x, vec{1, 0, 3, 2, 5, 4, 7, 6}));
+  return x[0];
+}
+
+/// Scratch only ever grows, so a steady search stops allocating.
+template <typename T>
+void grow(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+}
+
+}  // namespace
+
+lmsk::lmsk(const instance& inst) : inst_(&inst) {
   // The instance keeps every weight in [0, kMaxWeight] and its diagonal at
   // kInf, so each one fits a cell as is.
-  sp.m.assign(inst_->data().begin(), inst_->data().end());
-  sp.rows.resize(n);
-  sp.cols.resize(n);
-  std::iota(sp.rows.begin(), sp.rows.end(), std::int16_t{0});
-  std::iota(sp.cols.begin(), sp.cols.end(), std::int16_t{0});
+  dist_.assign(inst.data().begin(), inst.data().end());
+  dist_.resize(dist_.size() + kLanes, kInf);
+  const auto n = static_cast<std::size_t>(inst.n());
+  runs_.reserve(n);
+  src_rows_.reserve(n);
+}
+
+subproblem lmsk::root() {
+  const int n = inst_->n();
+  subproblem sp(n, 0, 0);
+  std::int16_t* rows = sp.writable(sp.rows());
+  std::int16_t* cols = sp.writable(sp.cols());
+  std::iota(rows, rows + n, std::int16_t{0});
+  std::iota(cols, cols + n, std::int16_t{0});
+  std::fill_n(sp.writable(sp.u()), n, std::int16_t{0});
+  std::fill_n(sp.writable(sp.v()), n, std::int16_t{0});
   ops_ = 0;
-  sp.bound = reduce(sp);
+  rebuild(sp);
+  sp.bound = reduce(mat_);
+  if (sp.bound < kInfBound) {
+    std::copy_n(rowmin_.begin(), n, sp.writable(sp.u()));
+    std::copy_n(colmin_.begin(), n, sp.writable(sp.v()));
+  }
   total_ops_ += ops_;
   return sp;
 }
 
-std::int64_t lmsk::reduce_row(subproblem& sp, int i) {
-  const int k = sp.k();
-  cell_t mn = kInf;
-  for (int j = 0; j < k; ++j) {
-    ++ops_;
-    mn = std::min(mn, sp.cell(i, j));
+void lmsk::copy_rows(cost_matrix& dst, std::span<const cell_t* const> src,
+                     std::span<const col_run> runs) {
+  const vec inf = splat(kInf);
+  const auto k = static_cast<std::size_t>(dst.k());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    cell_t* out = dst.row(static_cast<int>(i));
+    // Whole vectors: a run's last one spills into the cells after it, which
+    // the next run, the padding or the next row overwrites.
+    for (const auto& r : runs) {
+      for (int t = 0; t < r.len; t += static_cast<int>(kLanes)) {
+        store(out + r.to + t, load(src[i] + r.from + t));
+      }
+    }
+    store(out + k, inf);  // the padding (and a spill into the next row or the slack)
   }
+}
+
+const cost_matrix& lmsk::rebuild(const subproblem& sp) {
+  const int k = sp.k();
+  const auto rows = sp.rows();
+  const auto cols = sp.cols();
+  // Labels ascend, so a row's cells are runs of consecutive instance
+  // columns, copied a vector at a time.
+  runs_.clear();
+  for (int j = 0; j < k; ++j) {
+    if (j > 0 && cols[j] == cols[j - 1] + 1) {
+      ++runs_.back().len;
+    } else {
+      runs_.push_back({cols[j], j, 1});
+    }
+  }
+  const auto n = static_cast<std::size_t>(inst_->n());
+  src_rows_.clear();
+  for (int i = 0; i < k; ++i) src_rows_.push_back(dist_.data() + rows[i] * n);
+  mat_.reshape(k);
+  copy_rows(mat_, src_rows_, runs_);
+
+  // Every finite cell less its row's and column's potential; the padding's
+  // column potential is 0, and its cells stay kInf.
+  const std::size_t stride = mat_.stride();
+  grow(vpad_, stride);
+  std::copy(sp.v().begin(), sp.v().end(), vpad_.begin());
+  std::fill(vpad_.begin() + k, vpad_.begin() + static_cast<std::ptrdiff_t>(stride), cell_t{0});
+  const auto u = sp.u();
+  for (int i = 0; i < k; ++i) {
+    cell_t* row = mat_.row(i);
+    const vec ui = splat(u[i]);
+    for (std::size_t b = 0; b < stride; b += kLanes) {
+      store(row + b, sub_finite(load(row + b), ui + load(vpad_.data() + b)));
+    }
+  }
+  const auto f = sp.forbids();
+  for (std::size_t t = 0; t < f.size(); t += 2) mat_(f[t], f[t + 1]) = kInf;
+  return mat_;
+}
+
+std::int64_t lmsk::reduce_row(cost_matrix& m, int i) {
+  const std::size_t stride = m.stride();
+  cell_t* row = m.row(i);
+  vec lo = splat(kInf);
+  for (std::size_t b = 0; b < stride; b += kLanes) lo = vmin(lo, load(row + b));
+  const cell_t mn = hmin(lo);
+  ops_ += static_cast<std::uint64_t>(m.k());
   if (mn >= kInf) return kInfBound;  // no outgoing arc: infeasible
   if (mn > 0) {
-    for (int j = 0; j < k; ++j) {
-      ++ops_;
-      auto& c = sp.cell(i, j);
-      if (c < kInf) c -= mn;
-    }
+    ops_ += static_cast<std::uint64_t>(m.k());
+    const vec d = splat(mn);
+    for (std::size_t b = 0; b < stride; b += kLanes) store(row + b, sub_finite(load(row + b), d));
   }
   return mn;
 }
 
-std::int64_t lmsk::reduce_col(subproblem& sp, int j) {
-  const int k = sp.k();
+std::int64_t lmsk::reduce_col(cost_matrix& m, int j) {
+  const int k = m.k();
   cell_t mn = kInf;
-  for (int i = 0; i < k; ++i) {
-    ++ops_;
-    mn = std::min(mn, sp.cell(i, j));
-  }
+  for (int i = 0; i < k; ++i) mn = std::min(mn, m(i, j));
+  ops_ += static_cast<std::uint64_t>(k);
   if (mn >= kInf) return kInfBound;
   if (mn > 0) {
+    ops_ += static_cast<std::uint64_t>(k);
     for (int i = 0; i < k; ++i) {
-      ++ops_;
-      auto& c = sp.cell(i, j);
-      if (c < kInf) c -= mn;
+      cell_t& c = m(i, j);
+      c = c < kInf ? static_cast<cell_t>(c - mn) : c;
     }
   }
   return mn;
 }
 
-std::int64_t lmsk::reduce(subproblem& sp) {
-  const int k = sp.k();
+std::int64_t lmsk::reduce(cost_matrix& m) {
+  const int k = m.k();
+  const auto n = static_cast<std::size_t>(k);
+  const std::size_t stride = m.stride();
+  grow(rowmin_, n);
   std::int64_t added = 0;
   for (int i = 0; i < k; ++i) {
-    const auto r = reduce_row(sp, i);
+    const auto r = reduce_row(m, i);
     if (r >= kInfBound) return kInfBound;
+    rowmin_[i] = static_cast<cell_t>(r);
     added += r;
   }
   // Column minima in one row-major pass rather than k strided scans.
-  const auto n = static_cast<std::size_t>(k);
-  cell_t* m = sp.m.data();
-  colmin_.assign(n, kInf);
-  for (std::size_t i = 0; i < n; ++i) {
-    const cell_t* row = m + i * n;
-    for (std::size_t j = 0; j < n; ++j) colmin_[j] = std::min(colmin_[j], row[j]);
+  grow(colmin_, stride);
+  cell_t* cm = colmin_.data();
+  std::fill_n(cm, stride, kInf);
+  for (int i = 0; i < k; ++i) {
+    const cell_t* row = m.row(i);
+    for (std::size_t b = 0; b < stride; b += kLanes) store(cm + b, vmin(load(cm + b), load(row + b)));
   }
   // Charged and summed column by column; an infeasible column ends the
   // reduction with only the columns before it reduced. colmin_ becomes the
-  // amount each column subtracts (0 unless its minimum is positive).
+  // amount each column subtracts (0 unless its minimum is positive, and 0
+  // from an infeasible column on and in the padding).
   std::size_t feasible = n;
   bool any = false;
   for (std::size_t j = 0; j < n; ++j) {
     ops_ += n;
-    const auto mn = colmin_[j];
+    const auto mn = cm[j];
     if (mn >= kInf) {
       feasible = j;
       break;
@@ -90,50 +226,60 @@ std::int64_t lmsk::reduce(subproblem& sp) {
       ops_ += n;
       any = true;
     } else {
-      colmin_[j] = 0;
+      cm[j] = 0;
     }
   }
+  std::fill(cm + feasible, cm + stride, cell_t{0});
   if (any) {
-    for (std::size_t i = 0; i < n; ++i) {
-      cell_t* row = m + i * n;
-      for (std::size_t j = 0; j < feasible; ++j) {
-        row[j] = row[j] < kInf ? static_cast<cell_t>(row[j] - colmin_[j]) : row[j];
+    for (int i = 0; i < k; ++i) {
+      cell_t* row = m.row(i);
+      for (std::size_t b = 0; b < stride; b += kLanes) {
+        store(row + b, sub_finite(load(row + b), load(cm + b)));
       }
     }
   }
   return feasible < n ? kInfBound : added;
 }
 
-lmsk::branch_pick lmsk::choose_branch(const subproblem& sp) {
-  const auto n = static_cast<std::size_t>(sp.k());
-  row1_.resize(n);
-  row2_.resize(n);
-  col1_.assign(n, kInf);
-  col2_.assign(n, kInf);
-  zeros_.resize(n * n);
-  // One row-major pass: the two smallest cells of each row and column, as a
-  // multiset (a repeated minimum is its own runner-up), and the zero cells
-  // in row-major order, appended without a branch.
-  const cell_t* m = sp.m.data();
+lmsk::branch_pick lmsk::choose_branch(const cost_matrix& m) {
+  const int k = m.k();
+  const auto n = static_cast<std::size_t>(k);
+  const std::size_t stride = m.stride();
+  grow(row1_, n);
+  grow(row2_, n);
+  grow(col1_, stride);
+  grow(col2_, stride);
+  grow(zeros_, n * n);
   cell_t* c1 = col1_.data();
   cell_t* c2 = col2_.data();
-  std::int32_t* zeros = zeros_.data();
+  std::fill_n(c1, stride, kInf);
+  std::fill_n(c2, stride, kInf);
+  // One row-major sweep, a vector at a time: each lane keeps the two
+  // smallest cells it has seen of its row and of its column, as a multiset
+  // (a repeated minimum is its own runner-up); a row's lanes are folded at
+  // its end. The zero cells are appended in row-major order, found from the
+  // compare mask, as (row << 16 | column).
+  std::uint32_t* zeros = zeros_.data();
   std::size_t z = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const cell_t* row = m + i * n;
-    cell_t r1 = kInf;
-    cell_t r2 = kInf;
-    for (std::size_t j = 0; j < n; ++j) {
-      const cell_t v = row[j];
-      r2 = std::min(r2, std::max(r1, v));
-      r1 = std::min(r1, v);
-      c2[j] = std::min(c2[j], std::max(c1[j], v));
-      c1[j] = std::min(c1[j], v);
-      zeros[z] = static_cast<std::int32_t>(i * n + j);
-      z += v == 0 ? 1 : 0;
+  for (int i = 0; i < k; ++i) {
+    const cell_t* row = m.row(i);
+    vec r1 = splat(kInf);
+    vec r2 = r1;
+    for (std::size_t b = 0; b < stride; b += kLanes) {
+      const vec x = load(row + b);
+      r2 = vmin(r2, vmax(r1, x));
+      r1 = vmin(r1, x);
+      const vec a1 = load(c1 + b);
+      store(c2 + b, vmin(load(c2 + b), vmax(a1, x)));
+      store(c1 + b, vmin(a1, x));
+      for (auto bits = zero_lanes(x); bits != 0; bits &= bits - 1) {
+        const auto j = b + static_cast<std::size_t>(__builtin_ctzll(bits)) / 8;
+        zeros[z++] = static_cast<std::uint32_t>(i) << 16 | static_cast<std::uint32_t>(j);
+      }
     }
-    row1_[i] = r1;
-    row2_[i] = r2;
+    fold(r1, r2);
+    row1_[i] = r1[0];
+    row2_[i] = r2[0];
   }
   ops_ += n * n + 2 * n * z;
 
@@ -143,53 +289,126 @@ lmsk::branch_pick lmsk::choose_branch(const subproblem& sp) {
   // 2 * kMaxWeight < kInf, so it loses to any penalty with a kInf term.
   branch_pick best;
   for (std::size_t t = 0; t < z; ++t) {
-    const auto i = static_cast<std::size_t>(zeros[t]) / n;
-    const auto j = static_cast<std::size_t>(zeros[t]) % n;
+    const auto i = static_cast<int>(zeros[t] >> 16);
+    const auto j = static_cast<int>(zeros[t] & 0xffff);
     const cell_t row_alt = row1_[i] == 0 ? row2_[i] : row1_[i];
     const cell_t col_alt = c1[j] == 0 ? c2[j] : c1[j];
     const std::int64_t penalty = std::int64_t{row_alt} + col_alt;
-    if (penalty > best.penalty) best = {static_cast<int>(i), static_cast<int>(j), penalty};
+    if (penalty > best.penalty) best = {i, j, penalty};
   }
   return best;
 }
 
-void lmsk::forbid_subtour_arc(subproblem& child) {
-  // Successor/predecessor of each city over committed arcs (-1: none). The
-  // chain containing the newest arc runs from some start city s (no incoming
-  // committed arc) to some end city e (no outgoing committed arc); arc (e, s)
-  // would close a premature subtour.
+std::array<int, 2> lmsk::subtour_cell(const subproblem& parent, int pi, int pj) {
+  // Successor/predecessor of each city over the child's committed arcs (-1:
+  // none): the parent's and the new one. The chain containing the new arc
+  // runs from some start city s (no incoming committed arc) to some end city
+  // e (no outgoing committed arc); arc (e, s) would close a premature
+  // subtour. e has an outgoing arc in neither the parent nor the child, so it
+  // is not the dropped row; nor is s the dropped column.
   const auto n = static_cast<std::size_t>(inst_->n());
   next_.assign(n, -1);
   prev_.assign(n, -1);
-  for (const auto& e : child.edges) {
-    next_[e[0]] = e[1];
-    prev_[e[1]] = e[0];
+  const auto edges = parent.edges();
+  for (std::size_t t = 0; t < edges.size(); t += 2) {
+    next_[edges[t]] = edges[t + 1];
+    prev_[edges[t + 1]] = edges[t];
   }
-  std::int16_t s = child.edges.back()[0];
+  const std::int16_t from = parent.rows()[pi];
+  const std::int16_t to = parent.cols()[pj];
+  next_[from] = to;
+  prev_[to] = from;
+  std::int16_t s = from;
   while (prev_[s] != -1) s = prev_[s];
-  std::int16_t e = child.edges.back()[1];
+  std::int16_t e = to;
   while (next_[e] != -1) e = next_[e];
 
-  const auto ri = std::find(child.rows.begin(), child.rows.end(), e);
-  const auto cj = std::find(child.cols.begin(), child.cols.end(), s);
-  if (ri != child.rows.end() && cj != child.cols.end()) {
-    child.cell(static_cast<int>(ri - child.rows.begin()),
-               static_cast<int>(cj - child.cols.begin())) = kInf;
+  const auto rows = parent.rows();
+  const auto cols = parent.cols();
+  const auto ri = std::find(rows.begin(), rows.end(), e);
+  const auto cj = std::find(cols.begin(), cols.end(), s);
+  if (ri == rows.end() || cj == cols.end()) return {-1, -1};
+  const auto i = static_cast<int>(ri - rows.begin());
+  const auto j = static_cast<int>(cj - cols.begin());
+  return {i - (i > pi ? 1 : 0), j - (j > pj ? 1 : 0)};
+}
+
+subproblem lmsk::exclude_child(const subproblem& sp, int pi, int pj, cell_t ra, cell_t ca) {
+  // The parent with u[pi] += ra, v[pj] += ca and the cell (pi, pj)
+  // forbidden: forbids come last, so it is the parent's values plus one pair.
+  subproblem ex(sp.k(), sp.edges_, std::size_t{sp.forbids_} + 1);
+  const std::int16_t* first = sp.rows().data();
+  const std::int16_t* last = sp.forbids().data() + sp.forbids().size();
+  std::int16_t* out = std::copy(first, last, ex.writable(ex.rows()));
+  out[0] = static_cast<std::int16_t>(pi);
+  out[1] = static_cast<std::int16_t>(pj);
+  ex.writable(ex.u())[pi] = static_cast<std::int16_t>(sp.u()[pi] + ra);
+  ex.writable(ex.v())[pj] = static_cast<std::int16_t>(sp.v()[pj] + ca);
+  return ex;
+}
+
+subproblem lmsk::include_child(const subproblem& sp, int pi, int pj,
+                               std::array<int, 2> subtour) {
+  // The parent without row pi and column pj, its potentials raised by the
+  // reduction of sub_ (rowmin_, colmin_), arc (rows[pi], cols[pj])
+  // committed, the forbidden cells outside the dropped lines renumbered,
+  // and the subtour cell forbidden.
+  const int k = sp.k();
+  const auto f = sp.forbids();
+  std::size_t kept = subtour[0] >= 0 ? 1 : 0;
+  for (std::size_t t = 0; t < f.size(); t += 2) kept += f[t] != pi && f[t + 1] != pj ? 1 : 0;
+  subproblem in(k - 1, std::size_t{sp.edges_} + 1, kept);
+  std::int16_t* rows = in.writable(in.rows());
+  std::int16_t* cols = in.writable(in.cols());
+  std::int16_t* u = in.writable(in.u());
+  std::int16_t* v = in.writable(in.v());
+  for (int i = 0, d = 0; i < k; ++i) {
+    if (i == pi) continue;
+    rows[d] = sp.rows()[i];
+    u[d] = static_cast<std::int16_t>(sp.u()[i] + rowmin_[d]);
+    ++d;
   }
+  for (int j = 0, d = 0; j < k; ++j) {
+    if (j == pj) continue;
+    cols[d] = sp.cols()[j];
+    v[d] = static_cast<std::int16_t>(sp.v()[j] + colmin_[d]);
+    ++d;
+  }
+  std::int16_t* edges = std::copy(sp.edges().begin(), sp.edges().end(), in.writable(in.edges()));
+  edges[0] = sp.rows()[pi];
+  edges[1] = sp.cols()[pj];
+  std::int16_t* forbids = in.writable(in.forbids());
+  for (std::size_t t = 0; t < f.size(); t += 2) {
+    if (f[t] == pi || f[t + 1] == pj) continue;
+    *forbids++ = static_cast<std::int16_t>(f[t] - (f[t] > pi ? 1 : 0));
+    *forbids++ = static_cast<std::int16_t>(f[t + 1] - (f[t + 1] > pj ? 1 : 0));
+  }
+  if (subtour[0] >= 0) {
+    forbids[0] = static_cast<std::int16_t>(subtour[0]);
+    forbids[1] = static_cast<std::int16_t>(subtour[1]);
+  }
+  return in;
 }
 
 std::optional<tour> lmsk::finish(const subproblem& sp) {
   // k == 2: two arcs remain; pick the feasible (finite) assignment. Two
   // finite cells sum to at most 2 * kMaxWeight < kInf.
-  const std::int64_t a = std::int64_t{sp.cell(0, 0)} + sp.cell(1, 1);
-  const std::int64_t b = std::int64_t{sp.cell(0, 1)} + sp.cell(1, 0);
-  auto edges = sp.edges;
+  const std::int64_t a = std::int64_t{mat_(0, 0)} + mat_(1, 1);
+  const std::int64_t b = std::int64_t{mat_(0, 1)} + mat_(1, 0);
+  const auto rows = sp.rows();
+  const auto cols = sp.cols();
+  const auto committed = sp.edges();
+  std::vector<std::array<std::int16_t, 2>> edges;
+  edges.reserve(committed.size() / 2 + 2);
+  for (std::size_t t = 0; t < committed.size(); t += 2) {
+    edges.push_back({committed[t], committed[t + 1]});
+  }
   if (a < kInf && a <= b) {
-    edges.push_back({sp.rows[0], sp.cols[0]});
-    edges.push_back({sp.rows[1], sp.cols[1]});
+    edges.push_back({rows[0], cols[0]});
+    edges.push_back({rows[1], cols[1]});
   } else if (b < kInf) {
-    edges.push_back({sp.rows[0], sp.cols[1]});
-    edges.push_back({sp.rows[1], sp.cols[0]});
+    edges.push_back({rows[0], cols[1]});
+    edges.push_back({rows[1], cols[0]});
   } else {
     return std::nullopt;
   }
@@ -228,6 +447,7 @@ expand_result lmsk::expand(subproblem sp, std::int64_t best, std::uint32_t& next
   ops_ = 0;
   ++expansions_;
   expand_result out;
+  rebuild(sp);
 
   if (sp.k() == 2) {
     out.completed = finish(sp);
@@ -236,7 +456,7 @@ expand_result lmsk::expand(subproblem sp, std::int64_t best, std::uint32_t& next
     return out;
   }
 
-  const auto pick = choose_branch(sp);
+  const auto pick = choose_branch(mat_);
   if (pick.i < 0) {
     // No zero cell: the node is infeasible (all arcs forbidden).
     out.ops = ops_;
@@ -245,56 +465,46 @@ expand_result lmsk::expand(subproblem sp, std::int64_t best, std::uint32_t& next
   }
 
   // --- Include child: commit arc (rows[i] -> cols[j]), drop row i / col j.
-  // Built first, while `sp` still holds the parent matrix.
+  // Its matrix is built in sub_ first, while mat_ still holds the parent's.
   const int k = sp.k();
-  subproblem in;
-  in.rows.reserve(k - 1);
-  in.cols.reserve(k - 1);
+  sub_.reshape(k - 1);
+  src_rows_.clear();
   for (int i = 0; i < k; ++i) {
-    if (i != pick.i) in.rows.push_back(sp.rows[i]);
+    if (i != pick.i) src_rows_.push_back(mat_.row(i));
   }
-  for (int j = 0; j < k; ++j) {
-    if (j != pick.j) in.cols.push_back(sp.cols[j]);
-  }
-  in.m.resize(static_cast<std::size_t>(k - 1) * (k - 1));
-  auto dst = in.m.begin();
-  for (int i = 0; i < k; ++i) {
-    if (i == pick.i) continue;
-    const auto row = sp.m.cbegin() + static_cast<std::ptrdiff_t>(i) * k;
-    dst = std::copy(row, row + pick.j, dst);
-    dst = std::copy(row + pick.j + 1, row + k, dst);
-  }
+  const col_run around[] = {{0, 0, pick.j}, {pick.j + 1, pick.j, k - 1 - pick.j}};
+  copy_rows(sub_, src_rows_, around);
   ops_ += static_cast<std::uint64_t>(k - 1) * (k - 1);
-  in.edges.reserve(sp.edges.size() + 1);
-  in.edges = sp.edges;
-  in.edges.push_back({sp.rows[pick.i], sp.cols[pick.j]});
-  forbid_subtour_arc(in);
-  ops_ += static_cast<std::uint64_t>(in.edges.size()) * 2;
-  const auto in_added = reduce(in);
+  // The subtour cell is recorded as forbidden unless it already is kInf:
+  // then it is on the diagonal or forbidden through the parent.
+  auto subtour = subtour_cell(sp, pick.i, pick.j);
+  if (subtour[0] >= 0) {
+    cell_t& c = sub_(subtour[0], subtour[1]);
+    if (c == kInf) subtour = {-1, -1};
+    c = kInf;
+  }
+  ops_ += static_cast<std::uint64_t>(sp.edges().size() / 2 + 1) * 2;
+  const auto in_added = reduce(sub_);
 
-  // --- Exclude child: forbid arc (rows[i] -> cols[j]). It takes over the
-  // parent's storage; the matrix copy it models is still charged.
-  const std::int64_t parent_bound = sp.bound;
-  subproblem ex = std::move(sp);
-  ops_ += ex.words();
-  ex.cell(pick.i, pick.j) = kInf;
-  const auto ra = reduce_row(ex, pick.i);
-  const auto ca = reduce_col(ex, pick.j);
+  // --- Exclude child: forbid arc (rows[i] -> cols[j]) in the parent's
+  // matrix; the matrix copy it models is still charged.
+  ops_ += sp.words();
+  mat_(pick.i, pick.j) = kInf;
+  const auto ra = reduce_row(mat_, pick.i);
+  const auto ca = reduce_col(mat_, pick.j);
 
   // Children in creation order: exclude, then include.
-  if (ra < kInfBound && ca < kInfBound) {
-    ex.bound = parent_bound + ra + ca;
-    if (ex.bound < best) {
-      ex.seq = next_seq++;
-      out.children.push_back(std::move(ex));
-    }
+  if (ra < kInfBound && ca < kInfBound && sp.bound + ra + ca < best) {
+    auto ex = exclude_child(sp, pick.i, pick.j, static_cast<cell_t>(ra), static_cast<cell_t>(ca));
+    ex.bound = sp.bound + ra + ca;
+    ex.seq = next_seq++;
+    out.children.push_back(std::move(ex));
   }
-  if (in_added < kInfBound) {
-    in.bound = parent_bound + in_added;
-    if (in.bound < best) {
-      in.seq = next_seq++;
-      out.children.push_back(std::move(in));
-    }
+  if (in_added < kInfBound && sp.bound + in_added < best) {
+    auto in = include_child(sp, pick.i, pick.j, subtour);
+    in.bound = sp.bound + in_added;
+    in.seq = next_seq++;
+    out.children.push_back(std::move(in));
   }
 
   out.ops = ops_;

@@ -113,6 +113,21 @@ TEST(RunConfig, RejectsABadEwmaAlphaInTheLockPolicy) {
   }
 }
 
+TEST(RunConfig, AKnobOutsideItsIntegerRangeFailsAtLockConstruction) {
+  // The JSON carries the knob as a number; the lock that would truncate it
+  // to int64 rejects it, naming it.
+  auto rc = run_config{}.with_lock(locks::lock_kind::adaptive);
+  rc.params.policy = policy::policy_spec{}.with_param("waiting_threshold", 1e300);
+  const auto back = run_config::from_json(rc.to_json());
+  EXPECT_EQ(back, rc);
+  try {
+    (void)locks::make_lock(back, 0, locks::lock_cost_model::fast_test());
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("waiting_threshold"), std::string::npos) << e.what();
+  }
+}
+
 TEST(RunConfig, FluentBuilderSetsEveryField) {
   const auto rc = run_config{}
                       .with_nodes(6)

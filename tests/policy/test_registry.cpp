@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "locks/factory.hpp"
 #include "policy/engine.hpp"
+#include "policy/policies.hpp"
 
 namespace adx::policy {
 namespace {
@@ -137,6 +141,78 @@ TEST(Registry, MakeLockDefaultSpecRunsTheRegistrySimpleAdapt) {
   ASSERT_EQ(m.sensor_count(), 1u);
   EXPECT_EQ(m.sensor_at(0).name(), "no-of-waiting-threads");
   EXPECT_EQ(m.sensor_at(0).period(), 3u);
+}
+
+/// Constructs an adaptive lock running `spec`; returns what the rejection
+/// said, or "" if the lock was built.
+std::string construction_error(const policy_spec& spec) {
+  locks::lock_params params;
+  params.policy = spec;
+  try {
+    (void)locks::make_lock(locks::lock_kind::adaptive, 0, cost(), params);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Registry, LockRejectsAKnobOutsideItsIntegerRange) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // spin_cap is a count in every core.
+  for (const auto name : all_policy_names()) {
+    for (const double bad : {1e300, -1e300, nan, inf, -inf, 0x1p63, -1.0}) {
+      const auto msg = construction_error(default_spec(name).with_param("spin_cap", bad));
+      EXPECT_NE(msg.find("spin_cap"), std::string::npos) << name << " spin_cap=" << bad;
+    }
+  }
+  for (const std::string name : {"simple-adapt", "multi-sensor"}) {
+    for (const double bad : {1e300, -1e300, nan, inf}) {
+      const auto msg = construction_error(default_spec(name).with_param("waiting_threshold", bad));
+      EXPECT_NE(msg.find("waiting_threshold"), std::string::npos) << name << " " << bad;
+    }
+  }
+  EXPECT_NE(construction_error(default_spec("simple-adapt").with_param("n", 1e19)).find("n = "),
+            std::string::npos);
+}
+
+TEST(Registry, LockAcceptsKnobsAtTheEdgesOfTheirRange) {
+  EXPECT_EQ(construction_error(default_spec("simple-adapt")
+                                   .with_param("spin_cap", 0)
+                                   .with_param("waiting_threshold", -5)
+                                   .with_param("n", 0x1p62)),
+            "");
+  EXPECT_EQ(construction_error(default_spec("ewma-hold").with_param("spin_cap", 0x1p63 - 1024)),
+            "");
+}
+
+TEST(Registry, KnobsTruncateAndCheckTheirTargetRange) {
+  const auto spec = policy_spec{}
+                        .with_param("a", 2.9)
+                        .with_param("b", -2.9)
+                        .with_param("c", -0.5)
+                        .with_param("big", 0x1p64)
+                        .with_param("nan", std::nan(""));
+  EXPECT_EQ(int_knob(spec, "a", 7), 2);
+  EXPECT_EQ(int_knob(spec, "b", 7), -2);
+  EXPECT_EQ(int_knob(spec, "absent", 7), 7);
+  EXPECT_EQ(count_knob(spec, "a", 7), 2u);
+  EXPECT_EQ(count_knob(spec, "absent", 7), 7u);
+  EXPECT_THROW((void)int_knob(spec, "b", 7, 0), std::invalid_argument);
+  EXPECT_THROW((void)int_knob(spec, "big", 7), std::invalid_argument);
+  EXPECT_THROW((void)int_knob(spec, "nan", 7), std::invalid_argument);
+  // confirm and cooldown (stripe-adapt, mode-adapt) are counts.
+  for (const char* bad : {"b", "c", "big", "nan"}) {
+    try {
+      (void)count_knob(spec, bad, 7);
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("knob ") + bad + " = "), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(count_knob(policy_spec{}.with_param("c", 0x1p64 - 4096), "c", 7),
+            std::uint64_t{0xFFFFFFFFFFFFF000});
 }
 
 }  // namespace

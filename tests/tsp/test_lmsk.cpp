@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <random>
 #include <set>
 
@@ -23,12 +25,13 @@ TEST(Lmsk, RootMatrixHasZeroInEveryRowAndColumn) {
   const auto inst = instance::random_asymmetric(12, 5);
   lmsk engine(inst);
   const auto root = engine.root();
+  const auto& m = engine.rebuild(root);
   for (int i = 0; i < root.k(); ++i) {
     bool row_zero = false;
     bool col_zero = false;
     for (int j = 0; j < root.k(); ++j) {
-      row_zero |= root.cell(i, j) == 0;
-      col_zero |= root.cell(j, i) == 0;
+      row_zero |= m(i, j) == 0;
+      col_zero |= m(j, i) == 0;
     }
     EXPECT_TRUE(row_zero) << "row " << i;
     EXPECT_TRUE(col_zero) << "col " << i;
@@ -69,8 +72,9 @@ TEST(Lmsk, PruneParameterDropsChildren) {
   const auto inst = instance::random_asymmetric(9, 2);
   lmsk engine(inst);
   std::uint32_t seq = 1;
-  const auto root = engine.root();
-  auto er = engine.expand(root, /*best=*/root.bound, seq);  // nothing can beat it
+  auto root = engine.root();
+  const auto bound = root.bound;
+  auto er = engine.expand(std::move(root), /*best=*/bound, seq);  // nothing can beat it
   EXPECT_TRUE(er.children.empty());
 }
 
@@ -182,17 +186,15 @@ INSTANTIATE_TEST_SUITE_P(RandomAsymmetric, LmskPinned,
                                   std::to_string(info.param.seed);
                          });
 
-// The scalar kernels the one-pass ones replaced, kept as the reference: the
+// The scalar kernels the vector ones replaced, kept as the reference: the
 // same pick, the same matrix and the same charged ops on any input. Its
 // arithmetic is int64, so it cannot share a 16-bit overflow with the engine.
 struct scalar_reference {
   std::uint64_t ops{0};
 
-  std::int64_t reduce_line(subproblem& sp, int fixed, bool row) {
-    const int k = sp.k();
-    const auto cell = [&](int x) -> cell_t& {
-      return row ? sp.cell(fixed, x) : sp.cell(x, fixed);
-    };
+  std::int64_t reduce_line(cost_matrix& m, int fixed, bool row) {
+    const int k = m.k();
+    const auto cell = [&](int x) -> cell_t& { return row ? m(fixed, x) : m(x, fixed); };
     std::int64_t mn = kInf;
     for (int x = 0; x < k; ++x) {
       ++ops;
@@ -208,11 +210,11 @@ struct scalar_reference {
     return mn;
   }
 
-  std::int64_t reduce(subproblem& sp) {
+  std::int64_t reduce(cost_matrix& m) {
     std::int64_t added = 0;
     for (const bool row : {true, false}) {
-      for (int x = 0; x < sp.k(); ++x) {
-        const auto r = reduce_line(sp, x, row);
+      for (int x = 0; x < m.k(); ++x) {
+        const auto r = reduce_line(m, x, row);
         if (r >= kInfBound) return kInfBound;
         added += r;
       }
@@ -220,22 +222,22 @@ struct scalar_reference {
     return added;
   }
 
-  lmsk::branch_pick choose_branch(const subproblem& sp) {
-    const int k = sp.k();
+  lmsk::branch_pick choose_branch(const cost_matrix& m) {
+    const int k = m.k();
     lmsk::branch_pick best;
     for (int i = 0; i < k; ++i) {
       for (int j = 0; j < k; ++j) {
         ++ops;
-        if (sp.cell(i, j) != 0) continue;
+        if (m(i, j) != 0) continue;
         std::int64_t row_alt = kInf;
         for (int jj = 0; jj < k; ++jj) {
           ++ops;
-          if (jj != j) row_alt = std::min<std::int64_t>(row_alt, sp.cell(i, jj));
+          if (jj != j) row_alt = std::min<std::int64_t>(row_alt, m(i, jj));
         }
         std::int64_t col_alt = kInf;
         for (int ii = 0; ii < k; ++ii) {
           ++ops;
-          if (ii != i) col_alt = std::min<std::int64_t>(col_alt, sp.cell(ii, j));
+          if (ii != i) col_alt = std::min<std::int64_t>(col_alt, m(ii, j));
         }
         const std::int64_t penalty = row_alt + col_alt;
         if (penalty > best.penalty) best = {i, j, penalty};
@@ -253,38 +255,37 @@ struct scalar_reference {
 /// 2 * kMaxWeight, the largest finite one. When `forced` is set, one zero
 /// is the only finite cell of its row and column, and another the only one
 /// of its row: penalties with two and with one kInf term.
-subproblem random_matrix(std::mt19937_64& rng, int k, unsigned inf_pct, bool dead_line,
-                         bool wide, bool forced) {
-  subproblem sp;
-  sp.rows.resize(k);
-  sp.cols.resize(k);
-  sp.m.resize(static_cast<std::size_t>(k) * k);
+cost_matrix random_matrix(std::mt19937_64& rng, int k, unsigned inf_pct, bool dead_line,
+                          bool wide, bool forced) {
+  cost_matrix m(k);
   const auto hi = wide ? kMaxWeight : static_cast<std::int32_t>(1 + rng() % 12);
-  for (auto& c : sp.m) {
-    c = rng() % 100 < inf_pct ? kInf : static_cast<cell_t>(rng() % (hi + 1));
+  for (int i = 0; i < k; ++i) {
+    for (int j = 0; j < k; ++j) {
+      m(i, j) = rng() % 100 < inf_pct ? kInf : static_cast<cell_t>(rng() % (hi + 1));
+    }
   }
   if (wide) {
     const int x = static_cast<int>(rng() % k);
     const int y = static_cast<int>(rng() % k);
-    for (int z = 0; z < k; ++z) sp.cell(x, z) = sp.cell(z, y) = kMaxWeight;
-    sp.cell(x, y) = 0;
+    for (int z = 0; z < k; ++z) m(x, z) = m(z, y) = kMaxWeight;
+    m(x, y) = 0;
   }
   if (forced) {
     const int x = static_cast<int>(rng() % k);
     const int y = static_cast<int>(rng() % k);
-    for (int z = 0; z < k; ++z) sp.cell(x, z) = sp.cell(z, y) = kInf;
-    sp.cell(x, y) = 0;
+    for (int z = 0; z < k; ++z) m(x, z) = m(z, y) = kInf;
+    m(x, y) = 0;
     const int x2 = static_cast<int>(rng() % k);
     const int y2 = static_cast<int>(rng() % k);
-    for (int z = 0; z < k; ++z) sp.cell(x2, z) = kInf;
-    sp.cell(x2, y2) = 0;
+    for (int z = 0; z < k; ++z) m(x2, z) = kInf;
+    m(x2, y2) = 0;
   }
   if (dead_line) {
     const int x = static_cast<int>(rng() % k);
     const bool row = rng() % 2 == 0;
-    for (int y = 0; y < k; ++y) (row ? sp.cell(x, y) : sp.cell(y, x)) = kInf;
+    for (int y = 0; y < k; ++y) (row ? m(x, y) : m(y, x)) = kInf;
   }
-  return sp;
+  return m;
 }
 
 TEST(LmskKernels, MatchTheScalarReference) {
@@ -294,38 +295,43 @@ TEST(LmskKernels, MatchTheScalarReference) {
   int infeasible = 0;
   int wide_trials = 0;
   int forced_trials = 0;
-  for (int trial = 0; trial < 900; ++trial) {
-    const int k = 3 + static_cast<int>(rng() % 78);  // 3..80
+  int dead_small = 0;
+  for (int trial = 0; trial < 1200; ++trial) {
+    // Every k from 3 to 17 in turn first, so that each padding width of the
+    // last vector of a row (and rows shorter than a vector) runs many
+    // times; then k up to 80.
+    const int k = trial < 450 ? 3 + trial % 15 : 3 + static_cast<int>(rng() % 78);
     const unsigned inf_pct = static_cast<unsigned>(rng() % 4) * 10;
     const bool dead = rng() % 8 == 0;
     const bool wide = rng() % 3 == 0;
     const bool forced = rng() % 4 == 0;
     wide_trials += wide ? 1 : 0;
     forced_trials += forced ? 1 : 0;
+    dead_small += dead && k <= 17 ? 1 : 0;
     SCOPED_TRACE(testing::Message() << "trial " << trial << " k=" << k << " wide=" << wide
-                                    << " forced=" << forced);
-    const subproblem raw = random_matrix(rng, k, inf_pct, dead, wide, forced);
+                                    << " forced=" << forced << " dead=" << dead);
+    const cost_matrix raw = random_matrix(rng, k, inf_pct, dead, wide, forced);
 
     // reduce: same bound increase, same matrix, same ops — feasible or not.
-    subproblem mine = raw;
-    subproblem ref = raw;
+    cost_matrix mine = raw;
+    cost_matrix ref = raw;
     scalar_reference sr;
     const auto before = engine.ops();
     const auto added = engine.reduce(mine);
     const auto ref_added = sr.reduce(ref);
     EXPECT_EQ(added, ref_added);
-    EXPECT_EQ(mine.m, ref.m);
+    EXPECT_TRUE(mine == ref);
     EXPECT_EQ(engine.ops() - before, sr.ops);
     ++(ref_added < kInfBound ? feasible : infeasible);
 
     // choose_branch on the reduced matrix (zeros in every line, many ties)
     // and on the raw one (lines without zeros, kInf runners-up).
-    const subproblem* inputs[] = {&ref, &raw};
-    for (const subproblem* sp : inputs) {
+    const cost_matrix* inputs[] = {&ref, &raw};
+    for (const cost_matrix* m : inputs) {
       sr.ops = 0;
       const auto b0 = engine.ops();
-      const auto pick = engine.choose_branch(*sp);
-      const auto ref_pick = sr.choose_branch(*sp);
+      const auto pick = engine.choose_branch(*m);
+      const auto ref_pick = sr.choose_branch(*m);
       EXPECT_EQ(pick.i, ref_pick.i);
       EXPECT_EQ(pick.j, ref_pick.j);
       EXPECT_EQ(pick.penalty, ref_pick.penalty);
@@ -334,8 +340,258 @@ TEST(LmskKernels, MatchTheScalarReference) {
   }
   EXPECT_GT(feasible, 100);
   EXPECT_GT(infeasible, 50);
-  EXPECT_GT(wide_trials, 200);
-  EXPECT_GT(forced_trials, 150);
+  EXPECT_GT(wide_trials, 300);
+  EXPECT_GT(forced_trials, 200);
+  EXPECT_GT(dead_small, 30);
+}
+
+// The matrix-carrying expander the potential-form one replaced, kept as the
+// reference: every node owns its k x k reduced matrix, the include child
+// copies it around the picked row and column, and the exclude child edits
+// the parent's in place. It runs the scalar kernels above.
+struct ref_node {
+  cost_matrix m;
+  std::vector<std::int16_t> rows;
+  std::vector<std::int16_t> cols;
+  std::vector<std::array<std::int16_t, 2>> edges;
+  std::int64_t bound{0};
+  std::uint32_t seq{0};
+};
+
+struct ref_result {
+  lmsk::branch_pick pick;
+  std::optional<tour> completed;
+  std::vector<ref_node> children;
+  std::uint64_t ops{0};
+};
+
+class reference_expander {
+ public:
+  explicit reference_expander(const instance& inst) : inst_(inst) {}
+
+  ref_node root() {
+    const int n = inst_.n();
+    ref_node sp;
+    sp.m = cost_matrix(n);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) sp.m(i, j) = static_cast<cell_t>(inst_.at(i, j));
+      sp.rows.push_back(static_cast<std::int16_t>(i));
+      sp.cols.push_back(static_cast<std::int16_t>(i));
+    }
+    sr_.ops = 0;
+    sp.bound = sr_.reduce(sp.m);
+    return sp;
+  }
+
+  ref_result expand(ref_node sp, std::int64_t best, std::uint32_t& next_seq) {
+    sr_.ops = 0;
+    ref_result out;
+    const int k = sp.m.k();
+    if (k == 2) {
+      out.completed = finish(sp);
+      out.ops = sr_.ops + 8;
+      return out;
+    }
+    out.pick = sr_.choose_branch(sp.m);
+    const auto pick = out.pick;
+    if (pick.i < 0) {
+      out.ops = sr_.ops;
+      return out;
+    }
+    ref_node in;
+    in.m = cost_matrix(k - 1);
+    for (int i = 0; i < k; ++i) {
+      if (i != pick.i) in.rows.push_back(sp.rows[i]);
+      if (i != pick.j) in.cols.push_back(sp.cols[i]);
+    }
+    for (int i = 0, di = 0; i < k; ++i) {
+      if (i == pick.i) continue;
+      for (int j = 0, dj = 0; j < k; ++j) {
+        if (j != pick.j) in.m(di, dj++) = sp.m(i, j);
+      }
+      ++di;
+    }
+    sr_.ops += static_cast<std::uint64_t>(k - 1) * (k - 1);
+    in.edges = sp.edges;
+    in.edges.push_back({sp.rows[pick.i], sp.cols[pick.j]});
+    forbid_subtour_arc(in);
+    sr_.ops += in.edges.size() * 2;
+    const auto in_added = sr_.reduce(in.m);
+
+    const std::int64_t parent_bound = sp.bound;
+    ref_node ex = std::move(sp);
+    sr_.ops += static_cast<std::uint64_t>(k) * k;
+    ex.m(pick.i, pick.j) = kInf;
+    const auto ra = sr_.reduce_line(ex.m, pick.i, true);
+    const auto ca = sr_.reduce_line(ex.m, pick.j, false);
+    if (ra < kInfBound && ca < kInfBound) {
+      ex.bound = parent_bound + ra + ca;
+      if (ex.bound < best) {
+        ex.seq = next_seq++;
+        out.children.push_back(std::move(ex));
+      }
+    }
+    if (in_added < kInfBound) {
+      in.bound = parent_bound + in_added;
+      if (in.bound < best) {
+        in.seq = next_seq++;
+        out.children.push_back(std::move(in));
+      }
+    }
+    out.ops = sr_.ops;
+    return out;
+  }
+
+ private:
+  void forbid_subtour_arc(ref_node& child) const {
+    std::vector<int> next(inst_.n(), -1);
+    std::vector<int> prev(inst_.n(), -1);
+    for (const auto& e : child.edges) {
+      next[e[0]] = e[1];
+      prev[e[1]] = e[0];
+    }
+    int s = child.edges.back()[0];
+    while (prev[s] != -1) s = prev[s];
+    int e = child.edges.back()[1];
+    while (next[e] != -1) e = next[e];
+    const auto ri = std::find(child.rows.begin(), child.rows.end(), e);
+    const auto cj = std::find(child.cols.begin(), child.cols.end(), s);
+    if (ri != child.rows.end() && cj != child.cols.end()) {
+      child.m(static_cast<int>(ri - child.rows.begin()),
+              static_cast<int>(cj - child.cols.begin())) = kInf;
+    }
+  }
+
+  std::optional<tour> finish(const ref_node& sp) const {
+    const std::int64_t a = std::int64_t{sp.m(0, 0)} + sp.m(1, 1);
+    const std::int64_t b = std::int64_t{sp.m(0, 1)} + sp.m(1, 0);
+    auto edges = sp.edges;
+    if (a < kInf && a <= b) {
+      edges.push_back({sp.rows[0], sp.cols[0]});
+      edges.push_back({sp.rows[1], sp.cols[1]});
+    } else if (b < kInf) {
+      edges.push_back({sp.rows[0], sp.cols[1]});
+      edges.push_back({sp.rows[1], sp.cols[0]});
+    } else {
+      return std::nullopt;
+    }
+    // A single Hamiltonian cycle, listed from city 0.
+    const int n = inst_.n();
+    std::vector<int> next(n, -1);
+    for (const auto& e : edges) {
+      if (next[e[0]] != -1) return std::nullopt;
+      next[e[0]] = e[1];
+    }
+    tour t;
+    std::set<int> seen;
+    for (int c = 0; static_cast<int>(t.order.size()) < n; c = next[c]) {
+      if (c < 0 || !seen.insert(c).second) return std::nullopt;
+      t.order.push_back(static_cast<std::int16_t>(c));
+    }
+    if (next[t.order.back()] != 0) return std::nullopt;
+    t.cost = inst_.tour_cost(t.order);
+    return t;
+  }
+
+  const instance& inst_;
+  scalar_reference sr_;
+};
+
+/// Best-first search driving the engine and the reference side by side, as
+/// solve_sequential does, for at most `max_expansions` expansions. Returns
+/// the number of expansions run.
+std::size_t differential_search(const instance& inst, std::size_t max_expansions) {
+  lmsk engine(inst);
+  reference_expander ref(inst);
+  const auto worse = [](const ref_node& a, const ref_node& b) {
+    return a.bound == b.bound ? a.seq > b.seq : a.bound > b.bound;
+  };
+  node_queue q;
+  std::vector<ref_node> rq;
+  const auto push_ref = [&](ref_node n) {
+    rq.push_back(std::move(n));
+    std::push_heap(rq.begin(), rq.end(), worse);
+  };
+
+  auto root = engine.root();
+  auto ref_root = ref.root();
+  EXPECT_EQ(root.bound, ref_root.bound);
+  EXPECT_TRUE(engine.rebuild(root) == ref_root.m);
+  q.push(std::move(root));
+  push_ref(std::move(ref_root));
+
+  std::uint32_t seq = 1;
+  std::uint32_t ref_seq = 1;
+  std::int64_t best = kInfBound;
+  std::size_t expansions = 0;
+  while (!q.empty() && expansions < max_expansions) {
+    if (rq.size() != q.size()) {
+      ADD_FAILURE() << "queue sizes " << q.size() << " vs " << rq.size();
+      break;
+    }
+    auto sp = q.pop();
+    std::pop_heap(rq.begin(), rq.end(), worse);
+    ref_node rp = std::move(rq.back());
+    rq.pop_back();
+    if (sp.bound != rp.bound || sp.seq != rp.seq || !(engine.rebuild(sp) == rp.m)) {
+      ADD_FAILURE() << "popped node differs at expansion " << expansions << ": bound "
+                    << sp.bound << " vs " << rp.bound << ", seq " << sp.seq << " vs " << rp.seq;
+      break;
+    }
+    if (sp.bound >= best) continue;
+
+    lmsk::branch_pick pick;
+    if (sp.k() > 2) pick = engine.choose_branch(engine.rebuild(sp));
+    auto er = engine.expand(std::move(sp), best, seq);
+    auto rr = ref.expand(std::move(rp), best, ref_seq);
+    ++expansions;
+    SCOPED_TRACE(testing::Message() << "expansion " << expansions);
+    EXPECT_EQ(pick.i, rr.pick.i);
+    EXPECT_EQ(pick.j, rr.pick.j);
+    EXPECT_EQ(pick.penalty, rr.pick.penalty);
+    EXPECT_EQ(er.ops, rr.ops);
+    EXPECT_EQ(er.completed.has_value(), rr.completed.has_value());
+    if (er.completed && rr.completed) {
+      EXPECT_EQ(er.completed->order, rr.completed->order);
+      EXPECT_EQ(er.completed->cost, rr.completed->cost);
+    }
+    if (er.children.size() != rr.children.size()) {
+      ADD_FAILURE() << "children " << er.children.size() << " vs " << rr.children.size();
+      break;
+    }
+    for (std::size_t c = 0; c < er.children.size(); ++c) {
+      EXPECT_EQ(er.children[c].bound, rr.children[c].bound);
+      EXPECT_EQ(er.children[c].seq, rr.children[c].seq);
+      EXPECT_TRUE(engine.rebuild(er.children[c]) == rr.children[c].m) << "child " << c;
+    }
+    if (testing::Test::HasFailure()) break;
+    if (er.completed && er.completed->cost < best) best = er.completed->cost;
+    for (auto& c : er.children) q.push(std::move(c));
+    for (auto& c : rr.children) push_ref(std::move(c));
+  }
+  return expansions;
+}
+
+TEST(LmskDifferential, SearchMatchesTheMatrixCarryingExpander) {
+  std::size_t total = 0;
+  std::size_t finished = 0;
+  for (const bool euclidean : {false, true}) {
+    for (const int n : {5, 6, 8, 11, 14, 17, 24, 36}) {
+      for (const std::uint64_t seed : {1ULL, 2ULL, 9001ULL}) {
+        SCOPED_TRACE(testing::Message() << (euclidean ? "euclidean" : "asymmetric") << " n=" << n
+                                        << " seed=" << seed);
+        const auto inst = euclidean ? instance::random_euclidean(n, seed)
+                                    : instance::random_asymmetric(n, seed);
+        const std::size_t cap = 1500;
+        const auto ran = differential_search(inst, cap);
+        total += ran;
+        finished += ran < cap ? 1 : 0;
+        if (testing::Test::HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(total, 10000u);
+  EXPECT_GT(finished, 20u);  // searches run to the end, completed tours and all
 }
 
 // Instances at the top of the weight range, where a penalty or a two-cell
