@@ -24,8 +24,9 @@ double default_break_even_us(const locks::lock_cost_model& cost) {
       .us();
 }
 
-/// A knob present in `spec` if it lies in [lo, hi): finite, and 2^63 and
-/// 2^64 are exact doubles, so every value passing truncates into range.
+/// `value`, the knob `key` of `spec`, if it lies in [lo, hi); otherwise
+/// throws naming the knob. NaN fails the comparison, and 2^63 and 2^64 are
+/// exact doubles, so every value that passes truncates into the range.
 double checked_knob(const policy_spec& spec, std::string_view key, double value, double lo,
                     double hi) {
   if (value >= lo && value < hi) return value;

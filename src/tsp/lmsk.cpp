@@ -36,6 +36,11 @@ std::uint64_t zero_lanes(vec x) {
   return bits & 0x0101010101010101ULL;
 }
 
+/// The butterfly's lane pairings: swap halves, quarters, neighbours.
+constexpr vec kSwap4 = {4, 5, 6, 7, 0, 1, 2, 3};
+constexpr vec kSwap2 = {2, 3, 0, 1, 6, 7, 4, 5};
+constexpr vec kSwap1 = {1, 0, 3, 2, 5, 4, 7, 6};
+
 /// One butterfly step of fold(): merges each lane's two smallest with those
 /// of the lane `mask` pairs it with.
 inline void fold_step(vec& lo, vec& hi, vec mask) {
@@ -49,16 +54,16 @@ inline void fold_step(vec& lo, vec& hi, vec mask) {
 /// smallest of all lanes, as a multiset, in lane 0. Each step merges
 /// disjoint lane groups, so no value counts twice.
 void fold(vec& lo, vec& hi) {
-  fold_step(lo, hi, vec{4, 5, 6, 7, 0, 1, 2, 3});
-  fold_step(lo, hi, vec{2, 3, 0, 1, 6, 7, 4, 5});
-  fold_step(lo, hi, vec{1, 0, 3, 2, 5, 4, 7, 6});
+  fold_step(lo, hi, kSwap4);
+  fold_step(lo, hi, kSwap2);
+  fold_step(lo, hi, kSwap1);
 }
 
 /// Smallest lane of x.
 cell_t hmin(vec x) {
-  x = vmin(x, __builtin_shuffle(x, vec{4, 5, 6, 7, 0, 1, 2, 3}));
-  x = vmin(x, __builtin_shuffle(x, vec{2, 3, 0, 1, 6, 7, 4, 5}));
-  x = vmin(x, __builtin_shuffle(x, vec{1, 0, 3, 2, 5, 4, 7, 6}));
+  x = vmin(x, __builtin_shuffle(x, kSwap4));
+  x = vmin(x, __builtin_shuffle(x, kSwap2));
+  x = vmin(x, __builtin_shuffle(x, kSwap1));
   return x[0];
 }
 
