@@ -200,12 +200,6 @@ std::int64_t int_knob(const policy_spec& spec, std::string_view key, std::int64_
       checked_knob(spec, key, it->second, static_cast<double>(lo), 0x1p63));
 }
 
-std::uint64_t count_knob(const policy_spec& spec, std::string_view key, std::uint64_t fallback) {
-  const auto it = spec.params.find(key);
-  if (it == spec.params.end()) return fallback;
-  return static_cast<std::uint64_t>(checked_knob(spec, key, it->second, 0, 0x1p64));
-}
-
 std::unique_ptr<decision_core> make_simple_adapt_core(
     const policy_spec& spec, const locks::simple_adapt_params& defaults,
     const locks::lock_cost_model& /*cost*/) {

@@ -24,10 +24,6 @@ namespace adx::policy {
                                     std::int64_t fallback,
                                     std::int64_t lo = std::numeric_limits<std::int64_t>::min());
 
-/// A count knob (confirm, cooldown) as int_knob does it, into [0, UINT64_MAX].
-[[nodiscard]] std::uint64_t count_knob(const policy_spec& spec, std::string_view key,
-                                       std::uint64_t fallback);
-
 /// The paper's §4 rule, the adaptive lock's default policy (see
 /// locks/adaptive_lock.hpp for the pseudocode). Knobs: waiting_threshold, n,
 /// spin_cap (>= 0, as in every core), pure_spin_on_idle (0/1).

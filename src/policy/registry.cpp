@@ -349,8 +349,10 @@ void install(core::adaptive_object& obj, sensor_host& host, stripe_controller& c
   p.load_grow = int_knob(spec, "load-grow", p.load_grow);
   p.load_shrink = int_knob(spec, "load-shrink", p.load_shrink);
   p.probe_grow = int_knob(spec, "probe-grow", p.probe_grow);
-  p.confirm = count_knob(spec, "confirm", p.confirm);
-  p.cooldown = count_knob(spec, "cooldown", p.cooldown);
+  p.confirm = static_cast<std::uint64_t>(
+      int_knob(spec, "confirm", static_cast<std::int64_t>(p.confirm), 0));
+  p.cooldown = static_cast<std::uint64_t>(
+      int_knob(spec, "cooldown", static_cast<std::int64_t>(p.cooldown), 0));
   obj.set_policy(std::make_shared<stripe_adapt_policy>(ctl, p));
 }
 
@@ -364,8 +366,10 @@ void install(core::adaptive_object& obj, sensor_host& host, mode_controller& ctl
   p.delegate_below_us = int_knob(spec, "delegate-below-us", p.delegate_below_us);
   p.classic_above_us = int_knob(spec, "classic-above-us", p.classic_above_us);
   p.min_waiters = int_knob(spec, "min-waiters", p.min_waiters);
-  p.confirm = count_knob(spec, "confirm", p.confirm);
-  p.cooldown = count_knob(spec, "cooldown", p.cooldown);
+  p.confirm = static_cast<std::uint64_t>(
+      int_knob(spec, "confirm", static_cast<std::int64_t>(p.confirm), 0));
+  p.cooldown = static_cast<std::uint64_t>(
+      int_knob(spec, "cooldown", static_cast<std::int64_t>(p.cooldown), 0));
   obj.set_policy(std::make_shared<mode_adapt_policy>(ctl, p));
 }
 

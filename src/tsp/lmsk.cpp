@@ -37,15 +37,16 @@ std::uint64_t zero_lanes(vec x) {
 }
 
 /// The butterfly's lane pairings: swap halves, quarters, neighbours.
-constexpr vec kSwap4 = {4, 5, 6, 7, 0, 1, 2, 3};
-constexpr vec kSwap2 = {2, 3, 0, 1, 6, 7, 4, 5};
-constexpr vec kSwap1 = {1, 0, 3, 2, 5, 4, 7, 6};
+vec swap4(vec x) { return __builtin_shufflevector(x, x, 4, 5, 6, 7, 0, 1, 2, 3); }
+vec swap2(vec x) { return __builtin_shufflevector(x, x, 2, 3, 0, 1, 6, 7, 4, 5); }
+vec swap1(vec x) { return __builtin_shufflevector(x, x, 1, 0, 3, 2, 5, 4, 7, 6); }
 
 /// One butterfly step of fold(): merges each lane's two smallest with those
-/// of the lane `mask` pairs it with.
-inline void fold_step(vec& lo, vec& hi, vec mask) {
-  const vec lo2 = __builtin_shuffle(lo, mask);
-  const vec hi2 = __builtin_shuffle(hi, mask);
+/// of the lane `Swap` pairs it with.
+template <vec (*Swap)(vec)>
+void fold_step(vec& lo, vec& hi) {
+  const vec lo2 = Swap(lo);
+  const vec hi2 = Swap(hi);
   hi = vmin(vmax(lo, lo2), vmin(hi, hi2));
   lo = vmin(lo, lo2);
 }
@@ -54,16 +55,16 @@ inline void fold_step(vec& lo, vec& hi, vec mask) {
 /// smallest of all lanes, as a multiset, in lane 0. Each step merges
 /// disjoint lane groups, so no value counts twice.
 void fold(vec& lo, vec& hi) {
-  fold_step(lo, hi, kSwap4);
-  fold_step(lo, hi, kSwap2);
-  fold_step(lo, hi, kSwap1);
+  fold_step<swap4>(lo, hi);
+  fold_step<swap2>(lo, hi);
+  fold_step<swap1>(lo, hi);
 }
 
 /// Smallest lane of x.
 cell_t hmin(vec x) {
-  x = vmin(x, __builtin_shuffle(x, kSwap4));
-  x = vmin(x, __builtin_shuffle(x, kSwap2));
-  x = vmin(x, __builtin_shuffle(x, kSwap1));
+  x = vmin(x, swap4(x));
+  x = vmin(x, swap2(x));
+  x = vmin(x, swap1(x));
   return x[0];
 }
 
@@ -79,10 +80,6 @@ lmsk::lmsk(const instance& inst) : inst_(&inst) {
   // The instance keeps every weight in [0, kMaxWeight] and its diagonal at
   // kInf, so each one fits a cell as is.
   dist_.assign(inst.data().begin(), inst.data().end());
-  dist_.resize(dist_.size() + kLanes, kInf);
-  const auto n = static_cast<std::size_t>(inst.n());
-  runs_.reserve(n);
-  src_rows_.reserve(n);
 }
 
 subproblem lmsk::root() {
@@ -105,52 +102,25 @@ subproblem lmsk::root() {
   return sp;
 }
 
-void lmsk::copy_rows(cost_matrix& dst, std::span<const cell_t* const> src,
-                     std::span<const col_run> runs) {
-  const vec inf = splat(kInf);
-  const auto k = static_cast<std::size_t>(dst.k());
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    cell_t* out = dst.row(static_cast<int>(i));
-    // Whole vectors: a run's last one spills into the cells after it, which
-    // the next run, the padding or the next row overwrites.
-    for (const auto& r : runs) {
-      for (int t = 0; t < r.len; t += static_cast<int>(kLanes)) {
-        store(out + r.to + t, load(src[i] + r.from + t));
-      }
-    }
-    store(out + k, inf);  // the padding (and a spill into the next row or the slack)
-  }
-}
-
 const cost_matrix& lmsk::rebuild(const subproblem& sp) {
   const int k = sp.k();
   const auto rows = sp.rows();
   const auto cols = sp.cols();
-  // Labels ascend, so a row's cells are runs of consecutive instance
-  // columns, copied a vector at a time.
-  runs_.clear();
-  for (int j = 0; j < k; ++j) {
-    if (j > 0 && cols[j] == cols[j - 1] + 1) {
-      ++runs_.back().len;
-    } else {
-      runs_.push_back({cols[j], j, 1});
-    }
-  }
+  const auto u = sp.u();
   const auto n = static_cast<std::size_t>(inst_->n());
-  src_rows_.clear();
-  for (int i = 0; i < k; ++i) src_rows_.push_back(dist_.data() + rows[i] * n);
   mat_.reshape(k);
-  copy_rows(mat_, src_rows_, runs_);
-
-  // Every finite cell less its row's and column's potential; the padding's
-  // column potential is 0, and its cells stay kInf.
   const std::size_t stride = mat_.stride();
   grow(vpad_, stride);
   std::copy(sp.v().begin(), sp.v().end(), vpad_.begin());
   std::fill(vpad_.begin() + k, vpad_.begin() + static_cast<std::ptrdiff_t>(stride), cell_t{0});
-  const auto u = sp.u();
+  // Each row is gathered from the instance and padded with kInf; then every
+  // finite cell loses its row's and column's potential. The padding's column
+  // potential is 0, and its cells stay kInf.
   for (int i = 0; i < k; ++i) {
+    const cell_t* src = dist_.data() + static_cast<std::size_t>(rows[i]) * n;
     cell_t* row = mat_.row(i);
+    for (int j = 0; j < k; ++j) row[j] = src[cols[j]];
+    std::fill(row + k, row + stride, kInf);
     const vec ui = splat(u[i]);
     for (std::size_t b = 0; b < stride; b += kLanes) {
       store(row + b, sub_finite(load(row + b), ui + load(vpad_.data() + b)));
@@ -473,12 +443,14 @@ expand_result lmsk::expand(subproblem sp, std::int64_t best, std::uint32_t& next
   // Its matrix is built in sub_ first, while mat_ still holds the parent's.
   const int k = sp.k();
   sub_.reshape(k - 1);
-  src_rows_.clear();
-  for (int i = 0; i < k; ++i) {
-    if (i != pick.i) src_rows_.push_back(mat_.row(i));
+  for (int i = 0, d = 0; i < k; ++i) {
+    if (i == pick.i) continue;
+    const cell_t* src = mat_.row(i);
+    cell_t* row = sub_.row(d++);
+    cell_t* out = std::copy(src, src + pick.j, row);
+    out = std::copy(src + pick.j + 1, src + k, out);
+    std::fill(out, row + sub_.stride(), kInf);
   }
-  const col_run around[] = {{0, 0, pick.j}, {pick.j + 1, pick.j, k - 1 - pick.j}};
-  copy_rows(sub_, src_rows_, around);
   ops_ += static_cast<std::uint64_t>(k - 1) * (k - 1);
   // The subtour cell is recorded as forbidden unless it already is kInf:
   // then it is on the diagonal or forbidden through the parent.

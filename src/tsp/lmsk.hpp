@@ -53,11 +53,10 @@ class cost_matrix {
   }
 
   /// Sets the shape to k x k and leaves the cells for the caller to write.
-  /// A kLanes-cell slack after the last row lets a vector copy overrun it.
   void reshape(int k) {
     k_ = k;
     stride_ = (static_cast<std::size_t>(k) + kLanes - 1) / kLanes * kLanes;
-    const auto need = static_cast<std::size_t>(k) * stride_ + kLanes;
+    const auto need = static_cast<std::size_t>(k) * stride_;
     if (cells_.size() < need) cells_.resize(need);
   }
 
@@ -250,17 +249,6 @@ class lmsk {
   std::int64_t reduce_row(cost_matrix& m, int i);
   std::int64_t reduce_col(cost_matrix& m, int j);
 
-  /// Run of consecutive source columns copied as a block.
-  struct col_run {
-    int from;  ///< first source column
-    int to;    ///< first destination column
-    int len;
-  };
-  /// Copies `runs` of each source row into the rows of `dst` (already
-  /// shaped), in order, and sets each row's padding to kInf.
-  static void copy_rows(cost_matrix& dst, std::span<const cell_t* const> src,
-                        std::span<const col_run> runs);
-
   /// The (row, column) of the include child's matrix whose arc would close
   /// the chain holding its newest committed arc into a premature subtour;
   /// -1 where that city's row or column is gone.
@@ -283,15 +271,13 @@ class lmsk {
   std::optional<tour> assemble(const std::vector<std::array<std::int16_t, 2>>& edges);
 
   const instance* inst_;
-  std::vector<cell_t> dist_;  ///< the instance's weights, n x n, kLanes slack
+  std::vector<cell_t> dist_;  ///< the instance's weights, n x n
   // Scratch, grown and never shrunk: the expanded node's matrix and its
-  // include child's; the source rows and column runs copied into them; the
-  // two smallest cells of each row and column; each line's reduction; the
-  // column potentials padded to the stride; the zero cells as (row << 16 |
-  // column); each city's successor and predecessor over the committed arcs.
+  // include child's; the two smallest cells of each row and column; each
+  // line's reduction; the column potentials padded to the stride; the zero
+  // cells as (row << 16 | column); each city's successor and predecessor
+  // over the committed arcs.
   cost_matrix mat_, sub_;
-  std::vector<const cell_t*> src_rows_;
-  std::vector<col_run> runs_;
   std::vector<cell_t> row1_, row2_, col1_, col2_, rowmin_, colmin_, vpad_;
   std::vector<std::uint32_t> zeros_;
   std::vector<std::int16_t> next_, prev_;

@@ -196,23 +196,19 @@ TEST(Registry, KnobsTruncateAndCheckTheirTargetRange) {
   EXPECT_EQ(int_knob(spec, "a", 7), 2);
   EXPECT_EQ(int_knob(spec, "b", 7), -2);
   EXPECT_EQ(int_knob(spec, "absent", 7), 7);
-  EXPECT_EQ(count_knob(spec, "a", 7), 2u);
-  EXPECT_EQ(count_knob(spec, "absent", 7), 7u);
   EXPECT_THROW((void)int_knob(spec, "b", 7, 0), std::invalid_argument);
   EXPECT_THROW((void)int_knob(spec, "big", 7), std::invalid_argument);
   EXPECT_THROW((void)int_knob(spec, "nan", 7), std::invalid_argument);
-  // confirm and cooldown (stripe-adapt, mode-adapt) are counts.
+  // Counts (spin_cap, confirm, cooldown) are read with lo = 0.
   for (const char* bad : {"b", "c", "big", "nan"}) {
     try {
-      (void)count_knob(spec, bad, 7);
+      (void)int_knob(spec, bad, 7, 0);
       ADD_FAILURE() << bad << " accepted";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(std::string("knob ") + bad + " = "), std::string::npos)
           << e.what();
     }
   }
-  EXPECT_EQ(count_knob(policy_spec{}.with_param("c", 0x1p64 - 4096), "c", 7),
-            std::uint64_t{0xFFFFFFFFFFFFF000});
 }
 
 }  // namespace
