@@ -38,8 +38,6 @@ int main(int argc, char** argv) {
                "arrival-rate multiplier in every other 30 ms period (1 = no bursts)")
           .u64("shards", shape.shards, "DES shards (virtual results identical for any value)")
           .u64("seed", shape.seed, "run seed (arrival processes + domain streams)")
-          .flag("adaptive-lookahead",
-                "widen sync windows over quiet rounds (virtual results identical)")
           .str("telemetry", "",
                "stream per-kind latency histograms and live adaptation events "
                "to this endpoint (unix:PATH or tcp:HOST:PORT)")
@@ -72,13 +70,10 @@ int main(int argc, char** argv) {
   shape.burst_mult = opt.get_u64("burst_mult");
   shape.seed = opt.get_u64("seed");
   shape.shards = bench::shards_from(opt);
-  shape.adaptive_lookahead = opt.get_flag("adaptive-lookahead");
   shape.jobs = bench::jobs_from(opt);
 
-  std::fprintf(stderr,
-               "(%u DES shards, %u workers%s, windowed conservative lookahead)\n",
-               shape.shards, shape.jobs,
-               shape.adaptive_lookahead ? ", adaptive lookahead" : "");
+  std::fprintf(stderr, "(%u DES shards, %u workers, windowed conservative lookahead)\n",
+               shape.shards, shape.jobs);
 
   std::uint64_t kinds_done = 0;
   obs::metrics m;  // cumulative across kinds: snapshots are latest-wins

@@ -9,9 +9,9 @@
 // boundaries through federation::post() — the workload the conservative-
 // lookahead protocol exists for.
 //
-// Virtual-time results are bit-identical for every --shards / --jobs value
-// and for --adaptive-lookahead (horizon-only traffic); those knobs only
-// change wall-clock cost, so CI byte-diffs this report across all of them.
+// Virtual-time results are bit-identical for every --shards / --jobs value;
+// those knobs only change wall-clock cost, so CI byte-diffs this report
+// across all of them.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
@@ -30,9 +30,7 @@ int main(int argc, char** argv) {
           .u64("remote_every", shape.remote_every,
                "post an echo to the next group every Nth iteration")
           .u64("shards", shape.shards, "DES shards (virtual results identical for any value)")
-          .u64("seed", shape.seed, "run seed (think-time jitter + domain streams)")
-          .flag("adaptive-lookahead",
-                "widen sync windows over quiet rounds (virtual results identical)");
+          .u64("seed", shape.seed, "run seed (think-time jitter + domain streams)");
   opt.parse(argc, argv);
   shape.groups = static_cast<unsigned>(opt.get_u64("groups"));
   shape.group_nodes = static_cast<unsigned>(opt.get_u64("group_nodes"));
@@ -43,15 +41,12 @@ int main(int argc, char** argv) {
   shape.remote_every = opt.get_u64("remote_every");
   shape.seed = opt.get_u64("seed");
   shape.shards = bench::shards_from(opt);
-  shape.adaptive_lookahead = opt.get_flag("adaptive-lookahead");
   shape.jobs = bench::jobs_from(opt);
 
-  // The shard/worker/lookahead knobs go to stderr: stdout carries only
-  // virtual-time results, so CI can byte-diff reports across all of them.
-  std::fprintf(stderr,
-               "(%u DES shards, %u workers%s, windowed conservative lookahead)\n",
-               shape.shards, shape.jobs,
-               shape.adaptive_lookahead ? ", adaptive lookahead" : "");
+  // The shard/worker knobs go to stderr: stdout carries only virtual-time
+  // results, so CI can byte-diff reports across all of them.
+  std::fprintf(stderr, "(%u DES shards, %u workers, windowed conservative lookahead)\n",
+               shape.shards, shape.jobs);
 
   std::vector<workload::sharded_cs_result> rows;
   try {

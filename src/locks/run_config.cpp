@@ -1,5 +1,7 @@
 #include "locks/run_config.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -26,6 +28,10 @@ void read_num(const jobject& o, std::string_view key, T& out) {
 void read_bool(const jobject& o, std::string_view key, bool& out) {
   if (const auto* v = json_find(o, key)) out = v->boolean();
 }
+
+// Every top-level key to_json() can print.
+constexpr std::string_view kTopLevelKeys[] = {"machine", "lock",   "params", "perturb",
+                                              "seed",    "shards", "object", "object_policy"};
 
 const char* to_string(sim::interconnect_model m) {
   switch (m) {
@@ -98,7 +104,6 @@ std::string run_config::to_json() const {
   // The object axis is emitted only when set, so pure lock configs keep
   // their historical shape (and replay journals stay byte-stable).
   if (shards != 1) os << ",\"shards\":" << shards;
-  if (adaptive_lookahead) os << ",\"adaptive_lookahead\":true";
   if (!object.empty()) os << ",\"object\":" << json_str(object);
   if (!object_policy.is_default()) {
     os << ",\"object_policy\":" << object_policy.to_json();
@@ -111,6 +116,12 @@ run_config run_config::from_json(std::string_view text) {
   const auto root = obs::json_reader(text, "run_config").parse();
   if (!root.is_object()) throw std::invalid_argument("run_config: expected a JSON object");
   const auto& o = root.object();
+  for (const auto& [key, _] : o) {
+    if (std::find(std::begin(kTopLevelKeys), std::end(kTopLevelKeys), key) ==
+        std::end(kTopLevelKeys)) {
+      throw std::invalid_argument("run_config: unknown key: " + key);
+    }
+  }
 
   run_config rc;
   if (const auto* m = json_find(o, "machine")) {
@@ -173,7 +184,6 @@ run_config run_config::from_json(std::string_view text) {
   if (const auto* s = json_find(o, "seed")) rc.seed = s->number<std::uint64_t>();
   read_num(o, "shards", rc.shards);
   if (rc.shards == 0) throw std::invalid_argument("run_config: shards must be >= 1");
-  read_bool(o, "adaptive_lookahead", rc.adaptive_lookahead);
   if (const auto* ob = json_find(o, "object")) rc.object = ob->str();
   if (const auto* op = json_find(o, "object_policy")) {
     rc.object_policy = policy::policy_spec::from_json_value(*op);

@@ -51,11 +51,6 @@ struct run_config {
   /// sweeps, open-loop serving); must be >= 1. Results are
   /// bit-identical at every value, so this is purely a wall-clock knob.
   unsigned shards = 1;
-  /// Opt-in adaptive lookahead for the execution domain: windows widen over
-  /// quiet rounds and decay on cross-shard traffic. Virtual results stay
-  /// bit-identical to the fixed-lookahead run for workloads whose sends all
-  /// travel at exactly the horizon (everything federation::post ships).
-  bool adaptive_lookahead = false;
 
   friend bool operator==(const run_config&, const run_config&) = default;
 
@@ -105,17 +100,11 @@ struct run_config {
     shards = s;
     return *this;
   }
-  run_config& with_adaptive_lookahead(bool on = true) {
-    adaptive_lookahead = on;
-    return *this;
-  }
 
   /// The domain options this config asks for (seed falls back to the
   /// machine's when no run seed is set).
   [[nodiscard]] sim::domain_options domain_options() const {
-    return {.shards = shards,
-            .seed = seed != 0 ? seed : machine.seed,
-            .adaptive_lookahead = adaptive_lookahead};
+    return {.shards = shards, .seed = seed != 0 ? seed : machine.seed};
   }
 
   /// The machine configuration to actually instantiate: `machine` with its
@@ -129,9 +118,10 @@ struct run_config {
   /// Serializes to a single-line JSON object; from_json(to_json(c)) == c.
   [[nodiscard]] std::string to_json() const;
 
-  /// Parses a run_config from JSON as printed by to_json(). Unknown keys are
-  /// ignored (forward compatibility); missing keys keep their defaults.
-  /// Throws std::invalid_argument on malformed input.
+  /// Parses a run_config from JSON as printed by to_json(). Missing keys keep
+  /// their defaults. Throws std::invalid_argument on malformed input and on
+  /// an unknown top-level key, so a config naming a removed or misspelled
+  /// knob fails instead of silently running without it.
   [[nodiscard]] static run_config from_json(std::string_view text);
 };
 

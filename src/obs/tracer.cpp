@@ -1,37 +1,14 @@
 #include "obs/tracer.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
 #include <sstream>
 
-#include "obs/json.hpp"
+#include "obs/chrome_event.hpp"
 
 namespace adx::obs {
 
 namespace {
-
-/// ts/dur in microseconds with nanosecond resolution (3 decimals).
-std::string us_fixed(double us) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", us);
-  return buf;
-}
-
-void append_args(std::ostringstream& os, const event& e) {
-  if (!e.a1.present() && !e.a2.present() && e.detail_key == nullptr) return;
-  os << ",\"args\":{";
-  bool first = true;
-  const auto field = [&](const char* k, const std::string& v) {
-    if (!first) os << ',';
-    first = false;
-    os << json_str(k) << ':' << v;
-  };
-  if (e.a1.present()) field(e.a1.key, std::to_string(e.a1.value));
-  if (e.a2.present()) field(e.a2.key, std::to_string(e.a2.value));
-  if (e.detail_key != nullptr) field(e.detail_key, json_str(e.detail));
-  os << '}';
-}
 
 /// Indices of events sorted by timestamp, stable in recording order.
 std::vector<std::size_t> by_time(const std::vector<event>& events) {
@@ -53,13 +30,12 @@ std::string tracer::chrome_json() const {
     const auto& e = events_[i];
     if (!first) os << ',';
     first = false;
-    os << "\n{\"name\":" << json_str(e.name) << ",\"cat\":" << json_str(e.cat)
-       << ",\"ph\":\"" << to_chrome_phase(e.ph) << "\",\"ts\":" << us_fixed(e.ts.us());
-    if (e.ph == phase::complete) os << ",\"dur\":" << us_fixed(e.dur.us());
-    os << ",\"pid\":" << e.pid << ",\"tid\":" << e.tid;
-    if (e.ph == phase::instant) os << ",\"s\":\"t\"";  // thread-scoped instant
-    append_args(os, e);
-    os << '}';
+    os << '\n';
+    chrome_event_writer w(os, e.name, e.cat, e.ph, e.ts.ns, e.dur.ns, e.pid, e.tid);
+    if (e.a1.present()) w.arg(e.a1.key, e.a1.value);
+    if (e.a2.present()) w.arg(e.a2.key, e.a2.value);
+    if (e.detail_key != nullptr) w.str_arg(e.detail_key, e.detail);
+    w.end();
   }
   os << "\n],\"displayTimeUnit\":\"ms\"";
   if (dropped_ > 0) {
@@ -74,8 +50,8 @@ std::string tracer::csv() const {
   os << "ph,ts_us,dur_us,pid,tid,cat,name,args\n";
   for (const auto i : by_time(events_)) {
     const auto& e = events_[i];
-    os << to_chrome_phase(e.ph) << ',' << us_fixed(e.ts.us()) << ','
-       << (e.ph == phase::complete ? us_fixed(e.dur.us()) : std::string{}) << ','
+    os << to_chrome_phase(e.ph) << ',' << chrome_us(e.ts.ns) << ','
+       << (e.ph == phase::complete ? chrome_us(e.dur.ns) : std::string{}) << ','
        << e.pid << ',' << e.tid << ',' << e.cat << ',' << e.name << ',';
     const char* sep = "";
     if (e.a1.present()) {

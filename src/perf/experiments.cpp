@@ -337,7 +337,6 @@ std::vector<workload::sharded_cs_result> sharded_cs_sweep(const sharded_cs_shape
   cfg.remote_every = shape.remote_every;
   cfg.seed = shape.seed;
   cfg.shards = shape.shards;
-  cfg.adaptive_lookahead = shape.adaptive_lookahead;
   exec::job_executor ex(exec::resolve_jobs(shape.jobs));
   std::vector<workload::sharded_cs_result> out;
   for (const auto kind : shape.kinds) {
@@ -360,7 +359,6 @@ workload::ct_serve_config serve_ct_config_of(const serve_ct_shape& shape) {
   cfg.burst_mult = static_cast<double>(shape.burst_mult);
   cfg.seed = shape.seed;
   cfg.shards = shape.shards;
-  cfg.adaptive_lookahead = shape.adaptive_lookahead;
   return cfg;
 }
 

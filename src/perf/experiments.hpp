@@ -209,7 +209,6 @@ struct sharded_cs_shape {
   std::uint64_t remote_every = 4;
   unsigned shards = 1;
   std::uint64_t seed = 42;
-  bool adaptive_lookahead = false;
   std::vector<locks::lock_kind> kinds = {locks::lock_kind::spin, locks::lock_kind::blocking,
                                          locks::lock_kind::combined, locks::lock_kind::adaptive};
   unsigned jobs = 0;
@@ -238,7 +237,6 @@ struct serve_ct_shape {
   std::uint64_t burst_mult = 1;  ///< rate multiplier in every other 30 ms period
   unsigned shards = 8;
   std::uint64_t seed = 42;
-  bool adaptive_lookahead = false;
   unsigned jobs = 0;
 };
 /// bench_serve_ct_bursty serves the light, then the bursty load on 8 x 8

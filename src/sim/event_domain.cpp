@@ -23,16 +23,13 @@ std::vector<rng> make_streams(unsigned places, std::uint64_t seed) {
 
 event_domain::event_domain(const machine_config& cfg, const domain_options& opt)
     : places_(cfg.groups()),
-      q_(checked_shards(cfg, opt), cfg.min_cross_group_latency(), opt.adaptive_lookahead,
-         opt.max_widen),
+      q_(checked_shards(cfg, opt), cfg.min_cross_group_latency()),
       streams_(make_streams(places_, opt.seed)) {}
 
 domain_stats event_domain::stats() const {
   domain_stats s;
   s.windows = q_.windows();
   s.cross_sends = q_.cross_sends();
-  s.widened_windows = q_.widened_windows();
-  s.peak_widen = q_.peak_widen();
   for (unsigned i = 0; i < q_.shards(); ++i) {
     s.slab_slots += q_.shard_queue(i).slots_acquired();
     s.callback_spills += q_.shard_queue(i).callback_spills();

@@ -19,10 +19,9 @@
 //
 // `shards = 1` is not a separate engine but the sharded queue with one shard
 // (run without an executor). Every shard count therefore runs the same
-// window grid — the same barrier positions, the same delivery batches, the
-// same adaptive-lookahead state machine driven only by shard-invariant
-// delivered-send counts — and a workload that follows the discipline
-// produces bit-identical results at any shard/worker count by construction.
+// window grid — the same barrier positions and the same delivery batches —
+// and a workload that follows the discipline produces bit-identical results
+// at any shard/worker count by construction.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +44,6 @@ namespace adx::sim {
 struct domain_stats {
   std::uint64_t windows = 0;          ///< synchronization rounds executed
   std::uint64_t cross_sends = 0;      ///< deliveries merged at barriers
-  std::uint64_t widened_windows = 0;  ///< rounds run with widen factor > 1
-  std::uint64_t peak_widen = 1;       ///< largest widen factor reached
   std::uint64_t slab_slots = 0;       ///< callback slots acquired, all queues
   std::uint64_t callback_spills = 0;  ///< oversized callbacks spilled to heap
 
@@ -60,11 +57,6 @@ struct domain_options {
   unsigned shards = 1;
   /// Seed for the per-place streams (a workload typically passes its own).
   std::uint64_t seed = 0x5eedULL;
-  /// Opt-in adaptive lookahead: widen the window up to `max_widen` L-sized
-  /// sub-segments after rounds with zero cross-place traffic; decay to 1 on
-  /// any delivery. L stays the correctness floor.
-  bool adaptive_lookahead = false;
-  unsigned max_widen = 8;
 };
 
 class event_domain final {

@@ -20,7 +20,7 @@ bool sharded_event_queue::window(exec::job_executor* ex) {
   // sends emitted inside a window this is the same barrier as flushing at
   // window end; doing it here additionally covers sends issued from outside
   // any event (before the first window runs).
-  std::uint64_t traffic = deliver_outboxes();
+  deliver_outboxes();
 
   // The global minimum pending timestamp.
   bool any = false;
@@ -36,37 +36,21 @@ bool sharded_event_queue::window(exec::job_executor* ex) {
   // influence generated inside the window lands at >= sender_now + lookahead
   // >= tmin + lookahead, past the horizon. run_until is inclusive, so the
   // bound is horizon - 1ns (lookahead >= 1ns is enforced at construction).
-  //
-  // With adaptive lookahead the round covers `widen_` consecutive L-sized
-  // sub-segments, separated by delivery barriers: a send emitted in
-  // sub-segment k is timestamped >= tmin + k*lookahead, so delivering it at
-  // the barrier after sub-segment k puts it on its target heap before any
-  // sub-segment that could reach its timestamp — the conservative argument
-  // applies inductively per sub-segment, and L stays the correctness floor.
-  const std::uint64_t w = widen_;
-  for (std::uint64_t k = 1; k <= w; ++k) {
-    const vtime until{(tmin + lookahead_ * static_cast<std::int64_t>(k)).ns - 1};
-    if (ex != nullptr) {
-      // Only the shards with an event inside the horizon have work: an idle
-      // shard's run_until is a no-op, and no shard can schedule onto another
-      // mid-window (sends wait in outboxes), so the set is fixed up front.
-      active_.clear();
-      for (std::size_t i = 0; i < shards_.size(); ++i) {
-        const auto& q = shards_[i].q;
-        if (!q.empty() && q.next_at() <= until) active_.push_back(i);
-      }
-      run_active(*ex, until);
-    } else {
-      for (auto& s : shards_) s.q.run_until(until);
+  const vtime until{(tmin + lookahead_).ns - 1};
+  if (ex != nullptr) {
+    // Only the shards with an event inside the horizon have work: an idle
+    // shard's run_until is a no-op, and no shard can schedule onto another
+    // mid-window (sends wait in outboxes), so the set is fixed up front.
+    active_.clear();
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      const auto& q = shards_[i].q;
+      if (!q.empty() && q.next_at() <= until) active_.push_back(i);
     }
-    if (k < w) traffic += deliver_outboxes();
+    run_active(*ex, until);
+  } else {
+    for (auto& s : shards_) s.q.run_until(until);
   }
   ++windows_;
-  if (w > 1) ++widened_windows_;
-  if (adaptive_) {
-    widen_ = traffic == 0 ? std::min<std::uint64_t>(widen_ * 2, max_widen_) : 1;
-    peak_widen_ = std::max(peak_widen_, w);
-  }
   return true;
 }
 
@@ -146,7 +130,7 @@ void sharded_event_queue::run_active(exec::job_executor& ex, vtime until) {
       0.0, wall - forked_due * timed_ns_ / timed_due_ / static_cast<double>(p));
 }
 
-std::uint64_t sharded_event_queue::deliver_outboxes() {
+void sharded_event_queue::deliver_outboxes() {
   // Merge every outbox in ascending (at, origin) order — a total order as
   // long as origins are unique per delivery, and independent of both the
   // worker schedule (outboxes are complete at the barrier) and the shard
@@ -159,7 +143,7 @@ std::uint64_t sharded_event_queue::deliver_outboxes() {
     for (auto& p : s.outbox) merge_.push_back(std::move(p));
     s.outbox.clear();
   }
-  if (merge_.empty()) return 0;
+  if (merge_.empty()) return;
   std::stable_sort(merge_.begin(), merge_.end(),
                    [](const pending_send& a, const pending_send& b) {
                      if (a.at != b.at) return a.at < b.at;
@@ -169,7 +153,6 @@ std::uint64_t sharded_event_queue::deliver_outboxes() {
     shards_[p.to].q.schedule_at(p.at, std::move(p.fn));
   }
   cross_sends_ += merge_.size();
-  return merge_.size();
 }
 
 std::uint64_t sharded_event_queue::run_budgeted(exec::job_executor* ex,

@@ -44,7 +44,7 @@
 // cost is per *due* event because that is what can be counted up front,
 // and one due event may spawn a chain of further events in its window.
 // Both costs are running means of host time the queue measures around the
-// sub-segments it runs, so the choice has no knob — and since which thread
+// windows it runs, so the choice has no knob — and since which thread
 // runs a shard's events never changes what they compute, it is invisible
 // to every virtual result.
 #pragma once
@@ -64,24 +64,7 @@ class sharded_event_queue {
   /// `shards` independent sub-queues; `lookahead` is the conservative
   /// synchronization horizon (must be positive — a zero lookahead would
   /// serialize every event and deadlock the window loop).
-  ///
-  /// Adaptive lookahead (opt-in; off by default so the base contract stays
-  /// byte-for-byte the fixed-window grid). When a whole round moves zero
-  /// cross-shard deliveries, the next round runs up to `max_widen`
-  /// consecutive L-sized sub-segments in one go — with a delivery barrier
-  /// after every sub-segment, so L remains the correctness floor and any
-  /// send still lands at a grid barrier at or before its timestamp. Any
-  /// delivered traffic decays the factor back to 1. The widening state is
-  /// driven only by the delivered-send count, which is itself
-  /// shard-invariant, so results stay bit-identical at every shard/worker
-  /// count; workloads that always send exactly at the horizon (now + L) are
-  /// additionally bit-identical to their non-adaptive runs.
-  sharded_event_queue(unsigned shards, vdur lookahead, bool adaptive_lookahead = false,
-                      unsigned max_widen = 8)
-      : shards_(shards),
-        lookahead_(lookahead),
-        adaptive_(adaptive_lookahead),
-        max_widen_(max_widen < 1 ? 1 : max_widen) {
+  sharded_event_queue(unsigned shards, vdur lookahead) : shards_(shards), lookahead_(lookahead) {
     if (shards == 0) throw std::invalid_argument("sharded_event_queue: shards must be > 0");
     if (lookahead.ns <= 0) {
       throw std::invalid_argument("sharded_event_queue: lookahead must be positive");
@@ -132,15 +115,10 @@ class sharded_event_queue {
   /// barriers — is shard-invariant too. `ex` may be null (sequential).
   std::uint64_t run_budgeted(exec::job_executor* ex, std::uint64_t max_events);
 
-  /// Sub-segments forked onto the executor's workers (one per window unless
-  /// adaptive lookahead widens it). Host-only: it follows measured wall
-  /// costs, so unlike windows() it differs between runs and hosts.
+  /// Windows forked onto the executor's workers. Host-only: it follows
+  /// measured wall costs, so unlike windows() it differs between runs and
+  /// hosts.
   [[nodiscard]] std::uint64_t forked_windows() const { return forks_; }
-
-  /// Rounds that ran with a widened (> 1 sub-segment) horizon.
-  [[nodiscard]] std::uint64_t widened_windows() const { return widened_windows_; }
-  /// Largest widen factor any round actually used.
-  [[nodiscard]] std::uint64_t peak_widen() const { return peak_widen_; }
 
   /// Direct access to one shard's queue (setup, and events running on that
   /// shard). The sharded workloads hand each node group's machine its
@@ -199,24 +177,19 @@ class sharded_event_queue {
   /// Runs the shards in active_ up to `until`: inline, or forked on `ex`
   /// when the due events pay for the fork.
   void run_active(exec::job_executor& ex, vtime until);
-  /// Flushes all outboxes in (at, origin) order; returns deliveries made.
-  std::uint64_t deliver_outboxes();
+  /// Flushes all outboxes in (at, origin) order.
+  void deliver_outboxes();
 
   std::vector<shard> shards_;
   std::vector<pending_send> merge_;  ///< barrier scratch, reused every window
-  std::vector<std::size_t> active_;  ///< shards with work this sub-segment
-  std::vector<job_cost> job_costs_;  ///< per active shard, last forked sub-segment
+  std::vector<std::size_t> active_;  ///< shards with work this window
+  std::vector<job_cost> job_costs_;  ///< per active shard, last forked window
   vdur lookahead_;
   std::uint64_t windows_{0};
   std::uint64_t cross_sends_{0};
-  bool adaptive_;
-  unsigned max_widen_;
-  std::uint64_t widen_{1};
-  std::uint64_t widened_windows_{0};
-  std::uint64_t peak_widen_{1};
   // Host-only cost model behind run_active's choice.
   static constexpr std::uint64_t kMeasureEvery = 16;
-  std::uint64_t decisions_{0};  ///< sub-segments that weighed a fork
+  std::uint64_t decisions_{0};  ///< windows that weighed a fork
   double timed_ns_{0};          ///< host ns of timed inline runs...
   double timed_due_{0};         ///< ...over this many events due at their start
   double overhead_ns_{0};       ///< summed fork overhead over forks_ forks

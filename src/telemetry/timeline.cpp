@@ -1,64 +1,34 @@
 #include "telemetry/timeline.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
-#include "obs/json.hpp"
+#include "obs/chrome_event.hpp"
 
 namespace adx::telemetry {
 namespace {
 
-/// Matches the tracer's ts/dur formatting (µs with ns resolution).
-std::string us_fixed(double us) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", us);
-  return buf;
-}
-
-char chrome_phase(std::uint8_t ph) {
-  switch (static_cast<obs::phase>(ph)) {
-    case obs::phase::complete: return 'X';
-    case obs::phase::instant: return 'i';
-    case obs::phase::counter: return 'C';
-  }
-  return '?';
-}
-
 void emit_trace_event(std::ostringstream& os, const std::string& run_id,
                       const trace_event_msg& e) {
-  const char ph = chrome_phase(e.ph);
-  os << "{\"name\":" << obs::json_str(e.name) << ",\"cat\":" << obs::json_str(e.cat)
-     << ",\"ph\":\"" << ph
-     << "\",\"ts\":" << us_fixed(static_cast<double>(e.ts_ns) / 1000.0);
-  if (ph == 'X') {
-    os << ",\"dur\":" << us_fixed(static_cast<double>(e.dur_ns) / 1000.0);
-  }
-  os << ",\"pid\":" << e.pid << ",\"tid\":" << e.tid;
-  if (ph == 'i') os << ",\"s\":\"t\"";
-  os << ",\"args\":{\"run\":" << obs::json_str(run_id);
-  if (!e.a1_key.empty()) {
-    os << ',' << obs::json_str(e.a1_key) << ':' << e.a1_value;
-  }
-  if (!e.a2_key.empty()) {
-    os << ',' << obs::json_str(e.a2_key) << ':' << e.a2_value;
-  }
-  if (!e.detail_key.empty()) {
-    os << ',' << obs::json_str(e.detail_key) << ':' << obs::json_str(e.detail);
-  }
-  os << "}}";
+  obs::chrome_event_writer w(os, e.name, e.cat, static_cast<obs::phase>(e.ph), e.ts_ns,
+                             e.dur_ns, e.pid, e.tid);
+  w.str_arg("run", run_id);
+  if (!e.a1_key.empty()) w.arg(e.a1_key, e.a1_value);
+  if (!e.a2_key.empty()) w.arg(e.a2_key, e.a2_value);
+  if (!e.detail_key.empty()) w.str_arg(e.detail_key, e.detail);
+  w.end();
 }
 
 void emit_adapt_event(std::ostringstream& os, const std::string& run_id,
                       const adapt_msg& e) {
-  os << "{\"name\":" << obs::json_str(e.object + ".adapt")
-     << ",\"cat\":\"policy\",\"ph\":\"i\",\"ts\":"
-     << us_fixed(static_cast<double>(e.ts_ns) / 1000.0)
-     << ",\"pid\":0,\"tid\":0,\"s\":\"t\",\"args\":{\"run\":" << obs::json_str(run_id)
-     << ",\"v_i\":" << e.sensor_value << ",\"policy\":" << obs::json_str(e.policy)
-     << ",\"d_c\":" << obs::json_str(e.decision);
-  if (!e.sensors.empty()) os << ",\"sensors\":" << obs::json_str(e.sensors);
-  os << "}}";
+  obs::chrome_event_writer w(os, e.object + ".adapt", "policy", obs::phase::instant, e.ts_ns,
+                             0, 0, 0);
+  w.str_arg("run", run_id)
+      .arg("v_i", e.sensor_value)
+      .str_arg("policy", e.policy)
+      .str_arg("d_c", e.decision);
+  if (!e.sensors.empty()) w.str_arg("sensors", e.sensors);
+  w.end();
 }
 
 }  // namespace

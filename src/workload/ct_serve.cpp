@@ -50,11 +50,7 @@ ct_serve_result run_ct_serve(const ct_serve_config& cfg, exec::job_executor* ex)
     return burst ? cfg.mean_interarrival_us / cfg.burst_mult : cfg.mean_interarrival_us;
   };
 
-  auto dom = sim::make_event_domain(
-      cfg.machine, {.shards = cfg.shards,
-                    .seed = cfg.seed,
-                    .adaptive_lookahead = cfg.adaptive_lookahead,
-                    .max_widen = cfg.max_widen});
+  auto dom = sim::make_event_domain(cfg.machine, {.shards = cfg.shards, .seed = cfg.seed});
   ct::federation fed(cfg.machine, *dom);
   const unsigned G = fed.groups();
 

@@ -57,8 +57,6 @@ struct ct_serve_config {
 
   std::uint64_t seed = 42;
   unsigned shards = 1;
-  bool adaptive_lookahead = false;
-  unsigned max_widen = 8;
   std::uint64_t max_events = 500'000'000ULL;
 };
 

@@ -42,11 +42,7 @@ sharded_cs_result run_sharded_cs(const sharded_cs_config& cfg,
     throw std::invalid_argument("sharded_cs: butterfly model cannot federate");
   }
 
-  auto dom = sim::make_event_domain(
-      cfg.machine, {.shards = cfg.shards,
-                    .seed = cfg.seed,
-                    .adaptive_lookahead = cfg.adaptive_lookahead,
-                    .max_widen = cfg.max_widen});
+  auto dom = sim::make_event_domain(cfg.machine, {.shards = cfg.shards, .seed = cfg.seed});
   ct::federation fed(cfg.machine, *dom);
   const unsigned G = fed.groups();
 

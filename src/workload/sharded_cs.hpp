@@ -51,8 +51,6 @@ struct sharded_cs_config {
 
   std::uint64_t seed = 42;
   unsigned shards = 1;
-  bool adaptive_lookahead = false;
-  unsigned max_widen = 8;
   std::uint64_t max_events = 200'000'000ULL;
 };
 

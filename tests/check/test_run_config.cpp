@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "policy/registry.hpp"
 
@@ -75,10 +77,25 @@ TEST(RunConfig, EffectiveMachineAppliesTheRunSeed) {
   EXPECT_EQ(rc.machine.seed, base_seed);  // the stored config is untouched
 }
 
-TEST(RunConfig, MissingAndUnknownKeysAreTolerated) {
-  const auto rc = run_config::from_json(R"({"seed": 9, "future_key": [1, 2]})");
+TEST(RunConfig, MissingKeysKeepTheirDefaults) {
+  const auto rc = run_config::from_json(R"({"seed": 9})");
   EXPECT_EQ(rc.seed, 9u);
   EXPECT_EQ(rc.lock, locks::lock_kind::spin);  // default preserved
+}
+
+TEST(RunConfig, UnknownTopLevelKeysAreRejected) {
+  // A removed or misspelled knob must fail, not run silently without it.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"adaptive_lookahead":true})", "adaptive_lookahead"},
+      {R"({"seed": 9, "future_key": [1, 2]})", "future_key"}};
+  for (const auto& [json, key] : cases) {
+    try {
+      (void)run_config::from_json(json);
+      FAIL() << "expected std::invalid_argument for " << json;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(RunConfig, MalformedJsonThrows) {
@@ -176,20 +193,10 @@ TEST(RunConfig, ShardsRoundTripAndDefaultOmission) {
   EXPECT_EQ(back.shards, 8u);
 }
 
-TEST(RunConfig, AdaptiveLookaheadRoundTripAndDefaultOmission) {
-  const auto plain = run_config{}.to_json();
-  EXPECT_EQ(plain.find("\"adaptive_lookahead\""), std::string::npos) << plain;
-
-  const auto rc = run_config{}.with_shards(4).with_adaptive_lookahead();
-  const auto text = rc.to_json();
-  EXPECT_NE(text.find("\"adaptive_lookahead\":true"), std::string::npos) << text;
-  const auto back = run_config::from_json(text);
-  EXPECT_EQ(back, rc);
-
-  // The domain options mirror the config's execution knobs.
+TEST(RunConfig, DomainOptionsMirrorTheExecutionKnobs) {
+  const auto rc = run_config{}.with_shards(4);
   const auto opt = rc.domain_options();
   EXPECT_EQ(opt.shards, 4u);
-  EXPECT_TRUE(opt.adaptive_lookahead);
   EXPECT_EQ(opt.seed, rc.machine.seed);
   EXPECT_EQ(run_config{}.with_seed(9).domain_options().seed, 9u);
 }

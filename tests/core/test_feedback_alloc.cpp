@@ -1,5 +1,5 @@
 // Heap allocations per feedback point, counted by replacing the global
-// operator new for this test binary.
+// operator new and operator new[] for this test binary.
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -12,15 +12,22 @@
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
-}  // namespace
 
-void* operator new(std::size_t n) {
+void* counted_new(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
+}  // namespace
+
+// Both forms: a sanitizer runtime that supplies its own operator new[] would
+// not forward it to operator new, leaving array allocations uncounted.
+void* operator new(std::size_t n) { return counted_new(n); }
+void* operator new[](std::size_t n) { return counted_new(n); }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace adx::core {
 namespace {

@@ -78,11 +78,9 @@ struct pingpong_run {
   domain_stats stats;
 };
 
-pingpong_run run_pingpong(unsigned shards, unsigned workers, bool adaptive,
-                          unsigned rounds) {
+pingpong_run run_pingpong(unsigned shards, unsigned workers, unsigned rounds) {
   const auto cfg = four_groups();
-  auto dom = make_event_domain(
-      cfg, {.shards = shards, .seed = 11, .adaptive_lookahead = adaptive});
+  auto dom = make_event_domain(cfg, {.shards = shards, .seed = 11});
   pingpong_run out;
   out.log.resize(dom->places());
   const auto L = dom->lookahead();
@@ -121,11 +119,11 @@ pingpong_run run_pingpong(unsigned shards, unsigned workers, bool adaptive,
 }
 
 TEST(EventDomain, PingPongBitIdenticalAcrossShardAndWorkerCounts) {
-  const auto ref = run_pingpong(1, 1, false, 12);
+  const auto ref = run_pingpong(1, 1, 12);
   ASSERT_FALSE(ref.log[0].empty());
   for (unsigned shards : {1u, 2u, 3u, 4u}) {
     for (unsigned workers : {1u, 4u}) {
-      const auto got = run_pingpong(shards, workers, false, 12);
+      const auto got = run_pingpong(shards, workers, 12);
       EXPECT_EQ(got.log, ref.log) << "shards=" << shards << " workers=" << workers;
       EXPECT_EQ(got.end, ref.end) << "shards=" << shards;
       EXPECT_EQ(got.stats, ref.stats) << "shards=" << shards;
@@ -155,60 +153,12 @@ TEST(EventDomain, RunRethrowsACallbackErrorFromAPoolWorker) {
   EXPECT_TRUE(worker_threw);
 }
 
-TEST(EventDomain, AdaptiveMatchesNonAdaptiveForHorizonSends) {
-  // Every ping-pong message is sent at exactly now + L, so the adaptive
-  // grid's sub-segment barriers see identical batches: results must match
-  // the non-adaptive run bit for bit (the equivalence the federation relies
-  // on), while the counters may differ.
-  const auto plain = run_pingpong(1, 1, false, 12);
-  for (unsigned shards : {1u, 3u}) {
-    const auto ad = run_pingpong(shards, 1, true, 12);
-    EXPECT_EQ(ad.log, plain.log) << "shards=" << shards;
-    EXPECT_EQ(ad.end, plain.end) << "shards=" << shards;
-  }
-}
-
-TEST(EventDomain, AdaptiveLookaheadWidensOnQuietRounds) {
-  const auto cfg = four_groups();
-  auto dom = make_event_domain(cfg, {.shards = 2, .adaptive_lookahead = true});
-  // A long chain of place-local events, one per lookahead window, with zero
-  // cross-place traffic: the widen factor must climb and cut the window
-  // count well below the non-adaptive run's.
-  const auto L = dom->lookahead();
-  for (int i = 1; i <= 64; ++i) {
-    dom->queue_of(0).schedule_at(vtime{} + L * i, [] {});
-  }
-  dom->run(nullptr);
-  const auto s = dom->stats();
-  EXPECT_GT(s.peak_widen, 1u);
-  EXPECT_GT(s.widened_windows, 0u);
-  EXPECT_LT(s.windows, 64u);
-
-  auto plain = make_event_domain(cfg, {.shards = 2});
-  for (int i = 1; i <= 64; ++i) {
-    plain->queue_of(0).schedule_at(vtime{} + L * i, [] {});
-  }
-  plain->run(nullptr);
-  EXPECT_EQ(plain->stats().peak_widen, 1u);
-  EXPECT_GT(plain->stats().windows, s.windows);
-  // Same events either way.
-  EXPECT_EQ(plain->processed(), dom->processed());
-}
-
-TEST(EventDomain, AdaptiveCountersAreShardInvariant) {
-  const auto a = run_pingpong(1, 1, true, 10);
-  for (unsigned shards : {2u, 4u}) {
-    const auto b = run_pingpong(shards, 1, true, 10);
-    EXPECT_EQ(b.stats, a.stats) << "shards=" << shards;
-  }
-}
-
 TEST(EventDomain, SlabStatsAreShardInvariant) {
   // slots_acquired / callback_spills are logical-schedule functions; the sum
   // over shards must not depend on the shard count.
-  const auto ref = run_pingpong(1, 1, false, 12);
+  const auto ref = run_pingpong(1, 1, 12);
   for (unsigned shards : {2u, 3u, 4u}) {
-    const auto got = run_pingpong(shards, 1, false, 12);
+    const auto got = run_pingpong(shards, 1, 12);
     EXPECT_EQ(got.stats.slab_slots, ref.stats.slab_slots) << "shards=" << shards;
     EXPECT_EQ(got.stats.callback_spills, ref.stats.callback_spills);
   }

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "obs/tracer.hpp"
 #include "telemetry/dashboard.hpp"
 
 namespace adx::telemetry {
@@ -185,6 +190,46 @@ TEST(Timeline, DroppedFramesSurfaceInExport) {
   apply_ok(tl, st, hello("r"));
   apply_ok(tl, st, message{bye_msg{17}});
   EXPECT_NE(tl.chrome_json().find("\"droppedEvents\":17"), std::string::npos);
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
+TEST(Timeline, ExportIsTheTracerExportWithTheRunArgAdded) {
+  obs::tracer t;
+  t.enable();
+  t.complete("qlock.held", "lock", sim::vtime{1000}, sim::vdur{1500}, 0, 3, {"waiting", 2});
+  t.instant("qlock.reconfigure", "lock", sim::vtime{2500}, 0, 3, {"v_i", 5}, {"n", -1},
+            "d_c", "pure-spin(400)");
+  t.instant("we\"ird", "ct", sim::vtime{2500}, 1, 4);
+  t.counter("qlock.waiting", "lock", sim::vtime{3001}, 0, 2);
+  t.complete("ct.run", "ct", sim::vtime{4000}, sim::vdur{7}, 2, 1);
+
+  timeline tl;
+  stream_state st;
+  apply_ok(tl, st, hello("r"));
+  for (const auto& e : t.events()) apply_ok(tl, st, message{to_wire(e)});
+
+  // Same layout line for line; each event gains "run" as its first arg.
+  const auto want = lines_of(t.chrome_json());
+  const auto got = lines_of(tl.chrome_json());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    auto line = want[i];
+    if (line.starts_with("{\"name\"")) {
+      const auto args = line.find("\"args\":{");
+      if (args != std::string::npos) {
+        line.insert(args + 8, "\"run\":\"r\",");
+      } else {
+        line.insert(line.rfind('}'), ",\"args\":{\"run\":\"r\"}");
+      }
+    }
+    EXPECT_EQ(got[i], line) << "line " << i;
+  }
 }
 
 TEST(Dashboard, RendersRunsOccupancyAndPercentiles) {

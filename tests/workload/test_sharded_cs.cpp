@@ -47,9 +47,8 @@ struct cs_signature {
   friend bool operator==(const cs_signature&, const cs_signature&) = default;
 };
 
-cs_signature run_cs(unsigned shards, unsigned workers, bool adaptive = false) {
-  auto cfg = small_cs(shards);
-  cfg.adaptive_lookahead = adaptive;
+cs_signature run_cs(unsigned shards, unsigned workers) {
+  const auto cfg = small_cs(shards);
   exec::job_executor ex(workers);
   const auto r = run_sharded_cs(cfg, workers > 1 ? &ex : nullptr);
   EXPECT_TRUE(r.completed);
@@ -79,20 +78,6 @@ TEST(ShardedCtSweep, BitIdenticalAcrossShardAndWorkerCounts) {
       EXPECT_EQ(run_cs(shards, workers), ref)
           << "shards=" << shards << " workers=" << workers;
     }
-  }
-}
-
-TEST(ShardedCtSweep, AdaptiveLookaheadMatchesNonAdaptive) {
-  // Every cross-group message travels at exactly the horizon, so the
-  // adaptive grid is an equivalence-preserving optimization here.
-  const auto plain = run_cs(1, 1, false);
-  for (unsigned shards : {1u, 3u}) {
-    auto ad = run_cs(shards, 1, true);
-    // The widen counters may legitimately differ; compare the physics.
-    ad.domain.widened_windows = plain.domain.widened_windows;
-    ad.domain.peak_widen = plain.domain.peak_widen;
-    ad.domain.windows = plain.domain.windows;
-    EXPECT_EQ(ad, plain) << "shards=" << shards;
   }
 }
 
