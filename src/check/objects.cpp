@@ -133,6 +133,7 @@ check_result run_map_check(const object_check_params& p, sim::perturber& pert) {
   policy::async_runtime art(policy::runtime_config{
       .period = sim::microseconds(static_cast<double>(mc.spec.period_us)),
       .proc = static_cast<ct::proc_id>(rt.processors() - 1),
+      .coord = {},
   });
   art.adopt_map(map, map, mc.spec, mc.cost);
   art.start(rt);
@@ -241,6 +242,7 @@ check_result run_monitor_check(const object_check_params& p, sim::perturber& per
   policy::async_runtime art(policy::runtime_config{
       .period = sim::microseconds(static_cast<double>(mc.spec.period_us)),
       .proc = static_cast<ct::proc_id>(rt.processors() - 1),
+      .coord = {},
   });
   art.adopt_object(mon_obj, mc.spec, mc.cost);
   art.start(rt);

@@ -157,6 +157,7 @@ check_result run_with(const check_params& p, sim::perturber& pert) {
       .period = sim::microseconds(
           static_cast<double>(p.config.params.policy.period_us)),
       .proc = static_cast<ct::proc_id>(rt.processors() - 1),
+      .coord = {},
   });
   art.adopt_lock(*lk, p.config.params, cost);
   art.start(rt);

@@ -85,7 +85,7 @@ class options {
       if (d == nullptr) die("unknown flag: --" + std::string(name));
       if (d->k == kind::boolean) {
         if (has_value) die("flag --" + d->name + " takes no value");
-        d->value = "1";
+        d->value.assign(1, '1');  // not = "1": GCC 12 warns -Wrestrict on that
         d->set = true;
         continue;
       }

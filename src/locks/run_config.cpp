@@ -29,9 +29,41 @@ void read_bool(const jobject& o, std::string_view key, bool& out) {
   if (const auto* v = json_find(o, key)) out = v->boolean();
 }
 
-// Every top-level key to_json() can print.
+// Every key to_json() can print, per object.
 constexpr std::string_view kTopLevelKeys[] = {"machine", "lock",   "params", "perturb",
                                               "seed",    "shards", "object", "object_policy"};
+constexpr std::string_view kMachineKeys[] = {"nodes",
+                                             "local_wire_ns",
+                                             "remote_wire_ns",
+                                             "wire_model",
+                                             "switch_stage_latency_ns",
+                                             "switch_service_ns",
+                                             "mem_service_ns",
+                                             "atomic_service_ns",
+                                             "context_switch_ns",
+                                             "dispatch_latency_ns",
+                                             "group_size",
+                                             "group_wire_ns",
+                                             "seed"};
+constexpr std::string_view kParamsKeys[] = {"combined_spin_limit", "grant_mode", "initial_policy",
+                                            "adapt", "policy"};
+constexpr std::string_view kInitialPolicyKeys[] = {"spin_time", "delay_time", "sleep_time",
+                                                   "timeout_us"};
+constexpr std::string_view kAdaptKeys[] = {"waiting_threshold", "n", "spin_cap", "sample_period",
+                                           "pure_spin_on_idle"};
+constexpr std::string_view kPerturbKeys[] = {"reorder_ties", "delay_pct",   "max_delay_us",
+                                             "preempt_pct",  "latency_pct", "latency_spike_us"};
+
+/// Throws on a key of `o` not in `known`, naming it by its path from the
+/// root (`prefix` is the path of `o` followed by a dot, or empty).
+template <std::size_t N>
+void reject_unknown(const jobject& o, const std::string_view (&known)[N], std::string_view prefix) {
+  for (const auto& [key, _] : o) {
+    if (std::find(std::begin(known), std::end(known), key) == std::end(known)) {
+      throw std::invalid_argument("run_config: unknown key: " + std::string(prefix) + key);
+    }
+  }
+}
 
 const char* to_string(sim::interconnect_model m) {
   switch (m) {
@@ -116,17 +148,13 @@ run_config run_config::from_json(std::string_view text) {
   const auto root = obs::json_reader(text, "run_config").parse();
   if (!root.is_object()) throw std::invalid_argument("run_config: expected a JSON object");
   const auto& o = root.object();
-  for (const auto& [key, _] : o) {
-    if (std::find(std::begin(kTopLevelKeys), std::end(kTopLevelKeys), key) ==
-        std::end(kTopLevelKeys)) {
-      throw std::invalid_argument("run_config: unknown key: " + key);
-    }
-  }
+  reject_unknown(o, kTopLevelKeys, "");
 
   run_config rc;
   if (const auto* m = json_find(o, "machine")) {
     if (!m->is_object()) throw std::invalid_argument("run_config: machine must be an object");
     const auto& mo = m->object();
+    reject_unknown(mo, kMachineKeys, "machine.");
     read_num(mo, "nodes", rc.machine.nodes);
     read_ns(mo, "local_wire_ns", rc.machine.local_wire);
     read_ns(mo, "remote_wire_ns", rc.machine.remote_wire);
@@ -150,10 +178,12 @@ run_config run_config::from_json(std::string_view text) {
   if (const auto* p = json_find(o, "params")) {
     if (!p->is_object()) throw std::invalid_argument("run_config: params must be an object");
     const auto& po = p->object();
+    reject_unknown(po, kParamsKeys, "params.");
     read_num(po, "combined_spin_limit", rc.params.combined_spin_limit);
     read_num(po, "grant_mode", rc.params.grant_mode);
     if (const auto* ip = json_find(po, "initial_policy")) {
       const auto& io = ip->object();
+      reject_unknown(io, kInitialPolicyKeys, "params.initial_policy.");
       read_num(io, "spin_time", rc.params.initial_policy.spin_time);
       read_num(io, "delay_time", rc.params.initial_policy.delay_time);
       read_num(io, "sleep_time", rc.params.initial_policy.sleep_time);
@@ -161,6 +191,7 @@ run_config run_config::from_json(std::string_view text) {
     }
     if (const auto* ad = json_find(po, "adapt")) {
       const auto& ao = ad->object();
+      reject_unknown(ao, kAdaptKeys, "params.adapt.");
       read_num(ao, "waiting_threshold", rc.params.adapt.waiting_threshold);
       read_num(ao, "n", rc.params.adapt.n);
       read_num(ao, "spin_cap", rc.params.adapt.spin_cap);
@@ -174,6 +205,7 @@ run_config run_config::from_json(std::string_view text) {
   if (const auto* pt = json_find(o, "perturb")) {
     if (!pt->is_object()) throw std::invalid_argument("run_config: perturb must be an object");
     const auto& to = pt->object();
+    reject_unknown(to, kPerturbKeys, "perturb.");
     read_bool(to, "reorder_ties", rc.perturb.reorder_ties);
     read_num(to, "delay_pct", rc.perturb.delay_pct);
     read_num(to, "max_delay_us", rc.perturb.max_delay_us);

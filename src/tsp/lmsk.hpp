@@ -4,9 +4,9 @@
 // subproblems: each node stands for a reduced cost matrix and carries a
 // lower bound; branching includes or excludes the zero-cost edge with
 // maximum penalty; subtour-closing arcs are forbidden as edges are
-// committed. A queued node stores its matrix as one potential per row and
-// column over the instance (see subproblem); the expander writes the dense
-// matrix out in its own scratch.
+// committed. A queued node is a handle to the one step that made it from
+// its parent (see step and subproblem); the expander folds the steps back to
+// the root and writes the dense matrix out in its own scratch.
 //
 // The expander counts every matrix-cell operation it performs; the parallel
 // driver converts those counts into charged virtual time, so simulated
@@ -17,9 +17,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "sim/machine_config.hpp"
@@ -53,10 +52,12 @@ class cost_matrix {
   }
 
   /// Sets the shape to k x k and leaves the cells for the caller to write.
+  /// One vector of slack follows the last row, so a kernel may load a
+  /// vector that starts inside a row and runs past its end.
   void reshape(int k) {
     k_ = k;
     stride_ = (static_cast<std::size_t>(k) + kLanes - 1) / kLanes * kLanes;
-    const auto need = static_cast<std::size_t>(k) * stride_;
+    const auto need = static_cast<std::size_t>(k) * stride_ + kLanes;
     if (cells_.size() < need) cells_.resize(need);
   }
 
@@ -82,12 +83,87 @@ class cost_matrix {
   std::vector<cell_t> cells_;
 };
 
-/// One node of the search tree, in potential form. Its reduced cost matrix
-/// is never stored: cell (i, j) is D[rows[i]][cols[j]] - u[i] - v[j], and
-/// kInf where D is kInf (the diagonal) and at the forbidden cells.
-/// lmsk::rebuild() writes it out. Labels, potentials, committed arcs and
-/// forbidden cells share one int16 allocation of 4k + 2 (edges + forbids)
-/// values, against the k x k cells of the matrix.
+/// One branching decision of the search tree, written once and never
+/// changed. A node differs from its parent by one decision about an arc
+/// between two city labels: include commits it, so its row and column leave
+/// the matrix, and forbids the arc that would close the new chain into a
+/// premature subtour, if any; exclude forbids it. Label n, one past the
+/// last city of an n-city instance, stands for none: an exclude step
+/// commits arc (n, n). The decision's reduction raises a few row and column
+/// potentials, as (line, amount) pairs, where line is a row label, or
+/// n + 1 + a column label (unsigned: up to 65535 for 32767 cities): up to
+/// kInlineRaises in the step, the rest right after it. The root step
+/// decides nothing and raises the root's potentials.
+///
+/// Every step is folded the same way, so a walk over a path takes no branch
+/// on what a step decided or how much it raised: an unused inline raise adds
+/// 0 to the row of the step's arc, or to none at the root.
+struct step {
+  struct raise {
+    std::uint16_t line;
+    cell_t amount;
+  };
+  /// Raises held in the step itself: an exclude raises its arc's row and
+  /// column, and nearly every include raises at most three lines.
+  static constexpr std::size_t kInlineRaises = 3;
+
+  const step* parent{nullptr};  ///< null at the root
+  std::int16_t from{0};         ///< the committed arc
+  std::int16_t to{0};
+  std::int16_t forbid_from{0};  ///< the forbidden arc
+  std::int16_t forbid_to{0};
+  std::array<raise, kInlineRaises> raised{};
+  std::uint16_t more{0};  ///< raises after the step
+  std::int16_t k{0};      ///< rows (and columns) of the node's matrix
+
+  [[nodiscard]] const raise* more_raised() const {
+    return reinterpret_cast<const raise*>(this + 1);
+  }
+  [[nodiscard]] raise* more_raised() { return reinterpret_cast<raise*>(this + 1); }
+};
+static_assert(std::is_trivially_destructible_v<step>);
+static_assert(sizeof(step) % alignof(step::raise) == 0);
+
+/// Bump allocator for the steps of one search: fixed-size blocks, all freed
+/// with the arena. Steps are trivially destructible and never freed one by
+/// one: best-first keeps nearly every node queued until the first tour, and
+/// a queued node keeps its whole path alive, so there is little to reclaim
+/// before the search ends.
+class step_arena {
+ public:
+  /// Bytes per block (a step larger than a block gets a block of its own).
+  static constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
+
+  step_arena() = default;
+  step_arena(const step_arena&) = delete;
+  step_arena& operator=(const step_arena&) = delete;
+  ~step_arena();
+
+  /// A step with room for `more` raises after it.
+  step* make(std::size_t more);
+
+  /// Bytes handed out so far.
+  [[nodiscard]] std::size_t bytes() const { return bytes_; }
+
+ private:
+  /// Each block starts with a link to the block before it.
+  struct block {
+    block* prev;
+  };
+  block* last_{nullptr};
+  std::byte* next_{nullptr};
+  std::byte* end_{nullptr};
+  std::size_t bytes_{0};
+};
+
+/// One node of the search tree: its bound and queue keys and a handle to the
+/// step that made it, which also holds its k. Its reduced cost matrix is
+/// never stored: cell (i, j) is D[r][c] - U[r] - V[c]
+/// over the live row labels r and column labels c, where U and V sum the
+/// raises on the path from the root, and kInf where D is kInf (the diagonal)
+/// and at the arcs forbidden on that path. lmsk::rebuild() folds the path
+/// and writes the matrix out. The step lives in its search's step_arena, so
+/// a node must not outlive that arena.
 class subproblem {
  public:
   std::int64_t bound{0};
@@ -96,53 +172,22 @@ class subproblem {
 
   subproblem() = default;
 
-  [[nodiscard]] int k() const { return k_; }
-  /// City label of each matrix row and column, both ascending.
-  [[nodiscard]] std::span<const std::int16_t> rows() const { return part(0, uk()); }
-  [[nodiscard]] std::span<const std::int16_t> cols() const { return part(uk(), uk()); }
-  /// Potential of each row and column.
-  [[nodiscard]] std::span<const std::int16_t> u() const { return part(2 * uk(), uk()); }
-  [[nodiscard]] std::span<const std::int16_t> v() const { return part(3 * uk(), uk()); }
-  /// Committed arcs as (from, to) label pairs, in commit order.
-  [[nodiscard]] std::span<const std::int16_t> edges() const {
-    return part(4 * uk(), 2 * std::size_t{edges_});
-  }
-  /// Forbidden cells as (row, column) index pairs into this node's matrix.
-  [[nodiscard]] std::span<const std::int16_t> forbids() const {
-    return part(4 * uk() + 2 * std::size_t{edges_}, 2 * std::size_t{forbids_});
-  }
+  [[nodiscard]] int k() const { return at_ != nullptr ? at_->k : 0; }
 
   /// Matrix words, for data-movement charging: one per cell of the k x k
   /// matrix the node stands for, whatever the host stores, so the simulated
   /// machine moves what it always did.
   [[nodiscard]] std::uint64_t words() const {
-    return static_cast<std::uint64_t>(k_) * static_cast<std::uint64_t>(k_);
+    const auto k = static_cast<std::uint64_t>(this->k());
+    return k * k;
   }
 
  private:
   friend class lmsk;
 
-  /// Room for k rows and columns, `edges` arcs and `forbids` cells.
-  subproblem(int k, std::size_t edges, std::size_t forbids)
-      : data_(std::make_unique_for_overwrite<std::int16_t[]>(4 * static_cast<std::size_t>(k) +
-                                                             2 * (edges + forbids))),
-        k_(static_cast<std::int16_t>(k)),
-        edges_(static_cast<std::uint16_t>(edges)),
-        forbids_(static_cast<std::uint32_t>(forbids)) {}
+  explicit subproblem(const step* at) : at_(at) {}
 
-  [[nodiscard]] std::size_t uk() const { return static_cast<std::size_t>(k_); }
-  [[nodiscard]] std::span<const std::int16_t> part(std::size_t at, std::size_t n) const {
-    return {data_.get() + at, n};
-  }
-  /// Write access to one of the parts above.
-  std::int16_t* writable(std::span<const std::int16_t> p) {
-    return data_.get() + (p.data() - data_.get());
-  }
-
-  std::unique_ptr<std::int16_t[]> data_;
-  std::int16_t k_{0};
-  std::uint16_t edges_{0};
-  std::uint32_t forbids_{0};
+  const step* at_{nullptr};
 };
 
 /// Best-first queue of subproblems: lowest bound first, ties by creation
@@ -198,8 +243,13 @@ struct expand_result {
 
 class lmsk {
  public:
-  /// Keeps an int16 copy of the instance's weights to rebuild matrices from.
+  /// Keeps an int16 copy of the instance's weights to rebuild matrices from
+  /// and writes the search's steps to an arena of its own, so the nodes it
+  /// makes must not outlive it.
   explicit lmsk(const instance& inst);
+  /// The same, but writes the steps to `steps`, which engines working on one
+  /// search share: each can then expand the others' nodes.
+  lmsk(const instance& inst, step_arena& steps);
 
   /// The root subproblem: the instance, reduced.
   [[nodiscard]] subproblem root();
@@ -211,8 +261,8 @@ class lmsk {
                                      std::uint32_t& next_seq);
 
   /// Writes out `sp`'s reduced cost matrix (in scratch the next rebuild() or
-  /// expand() overwrites). Charges no ops: the modelled expander reads the
-  /// matrix it was handed.
+  /// expand() overwrites) by folding the steps from `sp` back to the root.
+  /// Charges no ops: the modelled expander reads the matrix it was handed.
   const cost_matrix& rebuild(const subproblem& sp);
 
   [[nodiscard]] const instance& problem() const { return *inst_; }
@@ -236,9 +286,11 @@ class lmsk {
   };
   /// The zero cell with maximum penalty (min row alternative + min col
   /// alternative) — the LMSK branching rule; ties go to the first zero in
-  /// row-major order. One row-major vector sweep keeps the two smallest
-  /// cells of each row and column; it is charged as the cell-by-cell scan it
-  /// replaces: k*k cells plus a row and a column (2k) per zero.
+  /// row-major order. Cells must lie in [0, kInf], as a reduced matrix's
+  /// do. One row-major vector sweep keeps the two smallest cells of each row
+  /// and column, a second scores every zero; they are charged as the
+  /// cell-by-cell scan they replace: k*k cells plus a row and a column (2k)
+  /// per zero.
   branch_pick choose_branch(const cost_matrix& m);
 
   /// Running count of charged operations; expand() and root() reset it on
@@ -249,38 +301,66 @@ class lmsk {
   std::int64_t reduce_row(cost_matrix& m, int i);
   std::int64_t reduce_col(cost_matrix& m, int j);
 
-  /// The (row, column) of the include child's matrix whose arc would close
-  /// the chain holding its newest committed arc into a premature subtour;
-  /// -1 where that city's row or column is gone.
-  std::array<int, 2> subtour_cell(const subproblem& parent, int pi, int pj);
+  /// Folds the path from `s` back to the root into the label-space scratch
+  /// below (null: the instance itself, no decision and zero potentials);
+  /// returns k. Potentials add, committed arcs and forbidden arcs collect,
+  /// and the committed arcs' rows and columns die, in any order.
+  int fold_path(const step* s);
+  /// Writes the folded node's k x k matrix into mat_.
+  void write_matrix(int k);
 
-  /// The exclude child: `sp` with cell (pi, pj) forbidden and the row and
-  /// column reductions ra, ca added to its potentials.
-  static subproblem exclude_child(const subproblem& sp, int pi, int pj, cell_t ra, cell_t ca);
-  /// The include child: `sp` without row pi and column pj, arc (rows[pi],
-  /// cols[pj]) committed, potentials raised by the reduction of sub_, and
-  /// `subtour` (if any) forbidden.
+  /// The (row, column) of the include child's matrix whose arc would close
+  /// the chain holding its newest committed arc, (rows_[pi], cols_[pj]), into
+  /// a premature subtour; -1 where that city's row or column is gone. Adds
+  /// the new arc to next_ and prev_.
+  std::array<int, 2> subtour_cell(int pi, int pj);
+
+  /// A step of a k x k node after `parent` that decides nothing and raises
+  /// the `count` lines of raise_buf_; its unused inline raises add 0 to line
+  /// `spare`.
+  step* make_step(const step* parent, int k, std::size_t count, std::uint16_t spare);
+  /// The exclude child: `sp` with arc (rows_[pi], cols_[pj]) forbidden and
+  /// the row and column reductions ra, ca added to its potentials.
+  subproblem exclude_child(const subproblem& sp, int pi, int pj, cell_t ra, cell_t ca);
+  /// The include child: arc (rows_[pi], cols_[pj]) committed, its potentials
+  /// raised by the reduction of sub_ (rowmin_, colmin_), and `subtour` (if
+  /// any) forbidden.
   subproblem include_child(const subproblem& sp, int pi, int pj, std::array<int, 2> subtour);
 
-  /// Resolves a k==2 node, whose matrix is in mat_, into a tour (or nothing
-  /// if infeasible).
-  std::optional<tour> finish(const subproblem& sp);
+  /// Resolves a k==2 node, folded and written to mat_, into a tour (or
+  /// nothing if infeasible).
+  std::optional<tour> finish();
 
-  /// Builds the closed tour from a complete edge set; empty optional if the
-  /// edges do not form a single Hamiltonian cycle.
-  std::optional<tour> assemble(const std::vector<std::array<std::int16_t, 2>>& edges);
+  /// Builds the closed tour from the successor map next_ once it holds n
+  /// arcs; empty optional if they do not form a single Hamiltonian cycle.
+  std::optional<tour> assemble();
 
   const instance* inst_;
-  std::vector<cell_t> dist_;  ///< the instance's weights, n x n
+  int n_;
+  /// The instance's weights, n rows of n + 1 cells: column n is kInf, the
+  /// label a row gather reads for the padding.
+  std::vector<cell_t> dist_;
+  step_arena own_steps_;  ///< unused when the engine shares an arena
+  step_arena* steps_;
+  // Label-space scratch, sized once, each array a whole number of vectors,
+  // where label n is none: the folded node's potentials by line (rows
+  // 0..n, columns n+1..2n+1); each label's row and column index (-1: gone);
+  // each city's successor and predecessor over the committed arcs. Then its
+  // live row and column labels, ascending (cols_ padded to the stride with
+  // n), and its forbidden arcs as (row label, column label) pairs.
+  std::vector<cell_t> pot_;
+  std::vector<std::int16_t> row_at_, col_at_, next_, prev_;
+  std::vector<std::int16_t> rows_, cols_, forbid_;
+  std::size_t forbids_{0};  ///< cells of forbid_ in use
+  std::vector<step::raise> raise_buf_;  ///< the raises of the step being made
   // Scratch, grown and never shrunk: the expanded node's matrix and its
   // include child's; the two smallest cells of each row and column; each
-  // line's reduction; the column potentials padded to the stride; the zero
-  // cells as (row << 16 | column); each city's successor and predecessor
-  // over the committed arcs.
+  // line's reduction; the column potentials padded to the stride; each
+  // column's best zero score and the first row with it.
   cost_matrix mat_, sub_;
   std::vector<cell_t> row1_, row2_, col1_, col2_, rowmin_, colmin_, vpad_;
-  std::vector<std::uint32_t> zeros_;
-  std::vector<std::int16_t> next_, prev_;
+  std::vector<std::uint16_t> best_score_;
+  std::vector<std::int16_t> best_row_;
   std::uint64_t ops_{0};
   std::uint64_t total_ops_{0};
   std::uint64_t expansions_{0};

@@ -37,6 +37,10 @@ struct tsp_sim {
   unsigned P;
   unsigned nshards;
 
+  // The steps of every node of the search, written by the seeder and all
+  // searchers; declared before the queues, whose nodes point into it.
+  step_arena steps;
+
   // Work-queue shards and their locks ("qlock").
   std::vector<node_queue> shards;
   std::vector<std::unique_ptr<ct::svar<std::int64_t>>> shard_size;
@@ -128,7 +132,7 @@ struct tsp_sim {
     // breadth-first into a frontier of ~2P subproblems so every searcher
     // starts on a coherent piece of the global tree (shard 0 for the
     // centralized queue, round-robin across the per-processor queues).
-    lmsk seeder(inst);
+    lmsk seeder(inst, steps);
     std::uint32_t seed_seq = 1;
     std::deque<subproblem> frontier;
     frontier.push_back(seeder.root());
@@ -308,7 +312,7 @@ struct tsp_sim {
 
   /// The searcher thread body.
   ct::task<void> searcher(ct::context& ctx, unsigned me) {
-    lmsk engine(inst);
+    lmsk engine(inst, steps);
     // Globally unique, deterministic child sequence ids: stride by P.
     std::uint32_t seq = 1 + me;
     const std::uint32_t stride = P;

@@ -31,6 +31,7 @@ cs_result run_cs_workload(const cs_config& cfg) {
   policy::async_runtime art(policy::runtime_config{
       .period = sim::microseconds(static_cast<double>(cfg.params.policy.period_us)),
       .proc = daemon_proc,
+      .coord = {},
   });
   art.adopt_lock(*lk, cfg.params, cfg.cost);
 

@@ -150,6 +150,7 @@ sharded_cs_result run_sharded_cs(const sharded_cs_config& cfg,
         .period = sim::microseconds(
             static_cast<double>(cfg.params.policy.period_us)),
         .proc = daemon_proc,
+        .coord = {},
     });
     art[g]->adopt_lock(*lk[g], cfg.params, cfg.cost);
     if (cfg.coordinate) coord.attach(g, *art[g]);

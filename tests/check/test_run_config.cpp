@@ -98,6 +98,49 @@ TEST(RunConfig, UnknownTopLevelKeysAreRejected) {
   }
 }
 
+/// Expects from_json(json) to throw std::invalid_argument naming `path` as
+/// the unknown key.
+void expect_unknown_key(const char* json, const std::string& path) {
+  try {
+    (void)run_config::from_json(json);
+    ADD_FAILURE() << "expected std::invalid_argument for " << json;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "run_config: unknown key: " + path);
+  }
+}
+
+TEST(RunConfig, UnknownMachineKeysAreRejected) {
+  expect_unknown_key(R"({"machine":{"nodes":4,"nodez":4}})", "machine.nodez");
+  // group keys are known under every wire model, as from_json reads them so.
+  EXPECT_EQ(run_config::from_json(R"({"machine":{"group_size":2}})").machine.group_size, 2u);
+}
+
+TEST(RunConfig, UnknownParamsKeysAreRejected) {
+  expect_unknown_key(R"({"params":{"grant_mod":1}})", "params.grant_mod");
+}
+
+TEST(RunConfig, UnknownInitialPolicyKeysAreRejected) {
+  expect_unknown_key(R"({"params":{"initial_policy":{"spin_time":3,"spin_tim":3}}})",
+                     "params.initial_policy.spin_tim");
+}
+
+TEST(RunConfig, UnknownAdaptKeysAreRejected) {
+  expect_unknown_key(R"({"params":{"adapt":{"N":3}}})", "params.adapt.N");
+}
+
+TEST(RunConfig, UnknownPerturbKeysAreRejected) {
+  expect_unknown_key(R"({"perturb":{"delay_pcts":50}})", "perturb.delay_pcts");
+}
+
+TEST(RunConfig, EveryNestedKeyToJsonPrintsIsAccepted) {
+  // The hierarchical model prints the group keys too.
+  run_config rc;
+  rc.with_perturb(sim::perturb_profile::chaos());
+  rc.machine.wire_model = sim::interconnect_model::hierarchical;
+  rc.machine.group_size = 4;
+  EXPECT_EQ(run_config::from_json(rc.to_json()), rc);
+}
+
 TEST(RunConfig, MalformedJsonThrows) {
   EXPECT_THROW((void)run_config::from_json("not json"), std::invalid_argument);
   EXPECT_THROW((void)run_config::from_json("{\"seed\": }"), std::invalid_argument);

@@ -160,7 +160,9 @@ TEST(Federation, CrossPlaceLockOperationThrows) {
         }
         // One shard runs without the executor; otherwise the first window
         // with two busy shards always forks.
-        if (shards > 1 && jobs > 1) EXPECT_GT(dom->forked_windows(), 0u) << where;
+        if (shards > 1 && jobs > 1) {
+          EXPECT_GT(dom->forked_windows(), 0u) << where;
+        }
       }
     }
   }

@@ -345,6 +345,22 @@ TEST(LmskKernels, MatchTheScalarReference) {
   EXPECT_GT(dead_small, 30);
 }
 
+// A matrix whose every cell is zero charges 2k per zero: k^3 zeros' worth,
+// more than a 16-bit count per vector lane holds at k = 600.
+TEST(Lmsk, ChooseBranchCountsEveryZeroOfALargeMatrix) {
+  lmsk engine(instance::random_asymmetric(4, 1));
+  constexpr int k = 600;
+  cost_matrix m(k);
+  for (int i = 0; i < k; ++i) std::fill_n(m.row(i), k, cell_t{0});
+  const auto before = engine.ops();
+  const auto pick = engine.choose_branch(m);
+  EXPECT_EQ(pick.i, 0);
+  EXPECT_EQ(pick.j, 0);
+  EXPECT_EQ(pick.penalty, 0);
+  const std::uint64_t n = k;
+  EXPECT_EQ(engine.ops() - before, n * n + 2 * n * n * n);
+}
+
 // The matrix-carrying expander the potential-form one replaced, kept as the
 // reference: every node owns its k x k reduced matrix, the include child
 // copies it around the picked row and column, and the exclude child edits
@@ -497,6 +513,28 @@ class reference_expander {
   scalar_reference sr_;
 };
 
+/// Checks one expansion of the engine against the reference's: ops, the
+/// completed tour, and each child's bound, sequence id and rebuilt matrix.
+/// Returns false where the two searches can no longer be compared.
+bool same_expansion(lmsk& engine, expand_result& er, const ref_result& rr) {
+  EXPECT_EQ(er.ops, rr.ops);
+  EXPECT_EQ(er.completed.has_value(), rr.completed.has_value());
+  if (er.completed && rr.completed) {
+    EXPECT_EQ(er.completed->order, rr.completed->order);
+    EXPECT_EQ(er.completed->cost, rr.completed->cost);
+  }
+  if (er.children.size() != rr.children.size()) {
+    ADD_FAILURE() << "children " << er.children.size() << " vs " << rr.children.size();
+    return false;
+  }
+  for (std::size_t c = 0; c < er.children.size(); ++c) {
+    EXPECT_EQ(er.children[c].bound, rr.children[c].bound);
+    EXPECT_EQ(er.children[c].seq, rr.children[c].seq);
+    EXPECT_TRUE(engine.rebuild(er.children[c]) == rr.children[c].m) << "child " << c;
+  }
+  return !testing::Test::HasFailure();
+}
+
 /// Best-first search driving the engine and the reference side by side, as
 /// solve_sequential does, for at most `max_expansions` expansions. Returns
 /// the number of expansions run.
@@ -549,22 +587,7 @@ std::size_t differential_search(const instance& inst, std::size_t max_expansions
     EXPECT_EQ(pick.i, rr.pick.i);
     EXPECT_EQ(pick.j, rr.pick.j);
     EXPECT_EQ(pick.penalty, rr.pick.penalty);
-    EXPECT_EQ(er.ops, rr.ops);
-    EXPECT_EQ(er.completed.has_value(), rr.completed.has_value());
-    if (er.completed && rr.completed) {
-      EXPECT_EQ(er.completed->order, rr.completed->order);
-      EXPECT_EQ(er.completed->cost, rr.completed->cost);
-    }
-    if (er.children.size() != rr.children.size()) {
-      ADD_FAILURE() << "children " << er.children.size() << " vs " << rr.children.size();
-      break;
-    }
-    for (std::size_t c = 0; c < er.children.size(); ++c) {
-      EXPECT_EQ(er.children[c].bound, rr.children[c].bound);
-      EXPECT_EQ(er.children[c].seq, rr.children[c].seq);
-      EXPECT_TRUE(engine.rebuild(er.children[c]) == rr.children[c].m) << "child " << c;
-    }
-    if (testing::Test::HasFailure()) break;
+    if (!same_expansion(engine, er, rr)) break;
     if (er.completed && er.completed->cost < best) best = er.completed->cost;
     for (auto& c : er.children) q.push(std::move(c));
     for (auto& c : rr.children) push_ref(std::move(c));
@@ -592,6 +615,119 @@ TEST(LmskDifferential, SearchMatchesTheMatrixCarryingExpander) {
   }
   EXPECT_GT(total, 10000u);
   EXPECT_GT(finished, 20u);  // searches run to the end, completed tours and all
+}
+
+struct pool_stats {
+  std::size_t expansions{0};
+  std::size_t completed{0};
+  int deepest{0};  ///< longest path (decisions from the root) expanded
+};
+
+/// The engine and the reference side by side, but each next node comes from
+/// the live pool in a seeded random order rather than best-first: half the
+/// time the newest node (a dive to the leaves), otherwise any node (a jump
+/// across the tree, as a steal makes one). Before each expansion a random
+/// other live node is rebuilt, so no rebuild starts from its parent's.
+pool_stats random_order_search(const instance& inst, std::size_t max_expansions,
+                               std::uint64_t seed) {
+  lmsk engine(inst);
+  reference_expander ref(inst);
+  std::mt19937_64 rng(seed);
+  struct live {
+    subproblem sp;
+    ref_node rp;
+    int depth;
+  };
+  std::vector<live> pool;
+  pool.push_back({engine.root(), ref.root(), 0});
+  EXPECT_EQ(pool[0].sp.bound, pool[0].rp.bound);
+
+  std::uint32_t seq = 1;
+  std::uint32_t ref_seq = 1;
+  std::int64_t best = kInfBound;
+  pool_stats st;
+  while (!pool.empty() && st.expansions < max_expansions) {
+    const std::size_t at = rng() % 2 == 0 ? pool.size() - 1 : rng() % pool.size();
+    std::swap(pool[at], pool.back());
+    auto [sp, rp, depth] = std::move(pool.back());
+    pool.pop_back();
+    if (!pool.empty()) {
+      const live& other = pool[rng() % pool.size()];
+      EXPECT_TRUE(engine.rebuild(other.sp) == other.rp.m);
+    }
+    if (sp.bound != rp.bound || !(engine.rebuild(sp) == rp.m)) {
+      ADD_FAILURE() << "node differs at expansion " << st.expansions << ": bound " << sp.bound
+                    << " vs " << rp.bound;
+      break;
+    }
+    if (sp.bound >= best) continue;
+    st.deepest = std::max(st.deepest, depth);
+    auto er = engine.expand(std::move(sp), best, seq);
+    auto rr = ref.expand(std::move(rp), best, ref_seq);
+    ++st.expansions;
+    SCOPED_TRACE(testing::Message() << "expansion " << st.expansions);
+    if (!same_expansion(engine, er, rr)) break;
+    if (er.completed) {
+      ++st.completed;
+      best = std::min(best, er.completed->cost);
+    }
+    for (std::size_t c = 0; c < er.children.size(); ++c) {
+      pool.push_back({std::move(er.children[c]), std::move(rr.children[c]), depth + 1});
+    }
+  }
+  return st;
+}
+
+TEST(LmskDifferential, RandomOrderRebuildsMatchTheMatrixCarryingExpander) {
+  std::size_t total = 0;
+  std::size_t completed = 0;
+  int deepest = 0;
+  for (const bool euclidean : {false, true}) {
+    for (const int n : {6, 9, 14, 24, 36}) {
+      for (const std::uint64_t seed : {3ULL, 9001ULL}) {
+        SCOPED_TRACE(testing::Message() << (euclidean ? "euclidean" : "asymmetric") << " n=" << n
+                                        << " seed=" << seed);
+        const auto inst = euclidean ? instance::random_euclidean(n, seed)
+                                    : instance::random_asymmetric(n, seed);
+        const auto st = random_order_search(inst, 600, seed * 31 + static_cast<std::uint64_t>(n));
+        total += st.expansions;
+        completed += st.completed;
+        deepest = std::max(deepest, st.deepest);
+        if (testing::Test::HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(total, 4000u);
+  EXPECT_GT(completed, 20u);  // dives reach k == 2 and complete tours
+  EXPECT_GE(deepest, 30);     // and walk paths of 30 decisions and more
+}
+
+TEST(StepArena, StepsDoNotOverlapAcrossBlocks) {
+  step_arena arena;
+  EXPECT_EQ(arena.bytes(), 0u);
+  std::vector<step*> made;
+  std::size_t bytes = 0;
+  // Enough steps for several blocks, one of them larger than a block.
+  for (std::size_t i = 0; i < 6000; ++i) {
+    const std::size_t more = i == 3000 ? step_arena::kBlockBytes / sizeof(step::raise) : i % 5;
+    step* s = arena.make(more);
+    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(s) % alignof(step), 0u);
+    EXPECT_EQ(s->parent, nullptr);
+    s->from = static_cast<std::int16_t>(i);
+    s->more = static_cast<std::uint16_t>(more % 65536);
+    std::fill_n(s->more_raised(), more, step::raise{static_cast<std::uint16_t>(i), 1});
+    made.push_back(s);
+    bytes += (sizeof(step) + more * sizeof(step::raise) + alignof(step) - 1) / alignof(step) *
+             alignof(step);
+  }
+  EXPECT_EQ(arena.bytes(), bytes);
+  for (std::size_t i = 0; i < made.size(); ++i) {
+    ASSERT_EQ(made[i]->from, static_cast<std::int16_t>(i));
+    const std::size_t more = i == 3000 ? step_arena::kBlockBytes / sizeof(step::raise) : i % 5;
+    for (std::size_t t = 0; t < more; ++t) {
+      ASSERT_EQ(made[i]->more_raised()[t].line, static_cast<std::uint16_t>(i));
+    }
+  }
 }
 
 // Instances at the top of the weight range, where a penalty or a two-cell

@@ -22,8 +22,8 @@ void* counted_new(std::size_t n) {
 }
 }  // namespace
 
-// Both forms: nodes are int16 arrays, and a sanitizer runtime that supplies
-// its own operator new[] would not forward it to operator new.
+// Both forms: a sanitizer runtime that supplies its own operator new[]
+// would not forward it to operator new.
 void* operator new(std::size_t n) { return counted_new(n); }
 void* operator new[](std::size_t n) { return counted_new(n); }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -34,9 +34,12 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace adx::tsp {
 namespace {
 
-TEST(LmskAlloc, ExpandAllocatesOneSmallNodePerChild) {
+// A child is one small step in the search's arena: once the scratch has
+// grown, an expansion allocates nothing but, now and then, an arena block.
+TEST(LmskAlloc, ExpandAllocatesOnlyArenaBlocks) {
   const auto inst = instance::random_asymmetric(36, 9001);
-  lmsk engine(inst);
+  step_arena steps;
+  lmsk engine(inst, steps);
   std::uint32_t seq = 1;
   node_queue q;
   {
@@ -44,27 +47,36 @@ TEST(LmskAlloc, ExpandAllocatesOneSmallNodePerChild) {
     auto er = engine.expand(engine.root(), kInfBound, seq);
     for (auto& c : er.children) q.push(std::move(c));
   }
-  int checked = 0;
+  const std::size_t bytes_before = steps.bytes();
+  std::int64_t best = kInfBound;
+  std::size_t checked = 0;
   std::size_t children = 0;
-  while (!q.empty() && checked < 300) {
+  // The search makes fewer than 2,000 nodes; the cap turns a broken bound
+  // into a failure rather than a search without end.
+  for (std::size_t pops = 0; !q.empty() && pops < 10000; ++pops) {
     auto sp = q.pop();
-    const auto k = static_cast<std::size_t>(sp.k());
-    // Below this a node's labels and potentials outgrow (k-1)^2 cells.
-    if (k < 16) continue;
+    if (sp.bound >= best) continue;
+    const int k = sp.k();
     g_allocations.store(0);
-    auto er = engine.expand(std::move(sp), kInfBound, seq);
+    auto er = engine.expand(std::move(sp), best, seq);
     const auto made = g_allocations.load();
+    children += er.children.size();
+    if (er.completed && er.completed->cost < best) best = er.completed->cost;
+    for (auto& c : er.children) q.push(std::move(c));
+    // A k == 2 node allocates the order of the tour it completes.
+    if (k == 2) continue;
     SCOPED_TRACE(testing::Message() << "expansion " << checked << " k=" << k);
-    ASSERT_EQ(made, er.children.size());
-    for (std::size_t a = 0; a < made; ++a) {
-      EXPECT_LT(g_sizes[a], (k - 1) * (k - 1) * sizeof(cell_t));
+    ASSERT_LE(made, 1u);
+    if (made == 1) {
+      EXPECT_EQ(g_sizes[0], step_arena::kBlockBytes);
     }
     ++checked;
-    children += er.children.size();
-    for (auto& c : er.children) q.push(std::move(c));
   }
-  EXPECT_EQ(checked, 300);
-  EXPECT_GT(children, 400u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(best, 201);  // the whole search ran (LmskPinned pins its result)
+  EXPECT_GT(checked, 700u);
+  const std::size_t bytes = steps.bytes() - bytes_before;
+  EXPECT_LE(bytes, 64 * children) << bytes << " arena bytes for " << children << " children";
 }
 
 }  // namespace
