@@ -4,10 +4,10 @@
 //
 // Every `remote_every`-th iteration a client posts an echo to the next
 // group's server and blocks for the reply; the server takes its own group's
-// place-bound lock, performs the service and posts back. Lock handoffs,
-// wakeups and (with --coordinate) policy pumps therefore all cross shard
-// boundaries through federation::post() — the workload the conservative-
-// lookahead protocol exists for.
+// place-bound lock, performs the service and posts back. Echo requests,
+// replies and the wakeups they trigger therefore all cross shard boundaries
+// through federation::post() — the workload the conservative-lookahead
+// protocol exists for.
 //
 // Virtual-time results are bit-identical for every --shards / --jobs value;
 // those knobs only change wall-clock cost, so CI byte-diffs this report

@@ -47,7 +47,9 @@ struct waiting_policy {
 
   friend bool operator==(const waiting_policy&, const waiting_policy&) = default;
 
-  [[nodiscard]] static waiting_policy pure_spin(std::int64_t n = 64) { return {n, 0, 0, 0}; }
+  [[nodiscard]] static constexpr waiting_policy pure_spin(std::int64_t n = 64) {
+    return {n, 0, 0, 0};
+  }
   [[nodiscard]] static waiting_policy spin_backoff(std::int64_t n = 8, std::int64_t d = 1) {
     return {n, d, 0, 0};
   }

@@ -56,7 +56,6 @@ class lock_stats {
   void on_release(sim::vtime at, std::uint32_t tid) {
     ++releases_;
     const auto held = at - held_since_;
-    held_time_.add(held.us());
     held_hist_.add(static_cast<std::uint64_t>(held.ns));
     last_held_ = held;
     last_release_at_ = at;
@@ -130,7 +129,6 @@ class lock_stats {
   /// and the tracer's counter track if attached.
   void on_waiting_changed(sim::vtime at, std::int64_t waiting) {
     peak_waiting_ = waiting > peak_waiting_ ? waiting : peak_waiting_;
-    waiting_dist_.add(static_cast<double>(waiting));
     if (pattern_) pattern_->record(at, waiting);
     if (tracing()) {
       tracer_->counter(name_waiting_, "lock", at, pid_, waiting);
@@ -202,8 +200,6 @@ class lock_stats {
   /// state variable; zero until a release has been followed by an acquire).
   [[nodiscard]] sim::vdur last_handoff_latency() const { return last_handoff_; }
   [[nodiscard]] const sim::accumulator& wait_time_us() const { return wait_time_; }
-  [[nodiscard]] const sim::accumulator& held_time_us() const { return held_time_; }
-  [[nodiscard]] const sim::accumulator& waiting_depth() const { return waiting_dist_; }
 
   /// Fraction of acquisitions that found the lock busy.
   [[nodiscard]] double contention_ratio() const {
@@ -227,8 +223,6 @@ class lock_stats {
   sim::vtime last_release_at_{};
   sim::vdur last_handoff_{};
   sim::accumulator wait_time_;
-  sim::accumulator held_time_;
-  sim::accumulator waiting_dist_;
   obs::log_histogram wait_hist_;  ///< ns
   obs::log_histogram held_hist_;  ///< ns
   sim::trace* pattern_{nullptr};

@@ -1,6 +1,6 @@
-// Deterministic driver workloads for the adaptive objects — the shared
-// substrate for the benches (bench_hashmap_*, bench_monitor_delegation),
-// the adx-check object fixtures, and the unit tests.
+// Deterministic driver workloads for the adaptive objects, used only by the
+// unit tests. The adx-bench scenarios (perf/scenarios.cpp) and the adx-check
+// object fixtures (check/objects.cpp) each keep their own driver.
 //
 // Both drivers follow the repo's determinism discipline: every random
 // choice (op kinds, keys, jitter) is pre-drawn from sim::rng(seed) before

@@ -42,7 +42,6 @@ void fed_coordinator::on_report(std::size_t member_idx,
   // Runs on the hub shard (group 0); members_[*].locks is only touched here.
   member& m = members_[member_idx];
   ++reports_;
-  if (cfg_.idle_ticks == 0) return;
   for (std::size_t i = 0; i < acquisitions.size() && i < m.locks.size(); ++i) {
     lock_track& t = m.locks[i];
     if (acquisitions[i] == t.last_acquisitions) {
@@ -52,17 +51,14 @@ void fed_coordinator::on_report(std::size_t member_idx,
       t.demoted = false;
     }
     t.last_acquisitions = acquisitions[i];
-    if (t.demoted || t.idle_streak < cfg_.idle_ticks) continue;
+    if (t.demoted || t.idle_streak < kIdleTicks) continue;
     t.demoted = true;
     ++demotions_;
     async_runtime* art = m.art;
-    const auto pol = cfg_.idle_policy;
     if (m.group == 0) {
-      art->apply_external_demotion(i, pol);
+      art->apply_external_demotion(i, kIdlePolicy);
     } else {
-      fed_->post(0, m.group, [art, i, pol] {
-        art->apply_external_demotion(i, pol);
-      });
+      fed_->post(0, m.group, [art, i] { art->apply_external_demotion(i, kIdlePolicy); });
     }
   }
 }

@@ -1,20 +1,22 @@
 // Cross-shard policy coordination over a federation.
 //
-// Under the sharded DES the async_runtime's coordinator cannot scan locks on
-// other shards — that would read native state across a place boundary. The
-// federated coordinator splits the loop into messages:
+// The one idle-demotion mechanism: a lock enrolled with `coordinate` whose
+// acquisition count stays flat for `kIdleTicks` consecutive daemon ticks is
+// demoted to `kIdlePolicy`. Under the sharded DES a hub cannot scan locks on
+// other shards — that would read native state across a place boundary — so
+// the loop is split into messages:
 //
 //   member daemon tick (group g's shard)
 //     -> snapshot its coordinated locks' acquisition counts
 //     -> federation::post(g, 0, report)           [one lookahead later]
 //   report lands (group 0's shard)
-//     -> update per-lock idle streaks; on `idle_ticks` flat reports,
+//     -> update per-lock idle streaks; on `kIdleTicks` flat reports,
 //        federation::post(0, g, apply-demotion)   [one lookahead later]
 //   demotion lands (group g's shard)
 //     -> async_runtime::apply_external_demotion — a plain event on the
 //        lock's own shard, so the bind_place discipline holds.
 //
-// The two message hops replace the local scan's virtual-time charges: 2L of
+// The two message hops carry no virtual-time charge of their own: 2L of
 // messaging latency is the price of coordinating across the machine, exactly
 // the tradeoff the paper's global-policy discussion predicts. All state
 // lives on a fixed shard (members' reports on shard 0, lock state on the
@@ -31,26 +33,22 @@
 
 namespace adx::policy {
 
-struct fed_coordinator_config {
-  /// Consecutive flat reports after which a lock is demoted. 0 disables.
-  std::uint64_t idle_ticks = 4;
-  /// The cheap waiting policy idle locks are demoted to.
-  locks::waiting_policy idle_policy = locks::waiting_policy::pure_spin(16);
-};
-
 /// The hub. Lives host-side; its mutable state partitions cleanly by shard
 /// (see member comments), so parallel windows never race on it.
 class fed_coordinator {
  public:
-  explicit fed_coordinator(ct::federation& fed, fed_coordinator_config cfg = {})
-      : fed_(&fed), cfg_(cfg) {}
+  /// Consecutive flat reports after which a lock is demoted.
+  static constexpr std::uint64_t kIdleTicks = 4;
+  /// The cheap waiting policy idle locks are demoted to.
+  static constexpr locks::waiting_policy kIdlePolicy = locks::waiting_policy::pure_spin(16);
+
+  explicit fed_coordinator(ct::federation& fed) : fed_(&fed) {}
 
   fed_coordinator(const fed_coordinator&) = delete;
   fed_coordinator& operator=(const fed_coordinator&) = delete;
 
-  /// Enrols group `g`'s policy runtime: installs a tick observer on it (so
-  /// its local idle scan is disabled) and tracks its coordinated locks.
-  /// Call before art.start() / before the run.
+  /// Enrols group `g`'s policy runtime: installs a tick observer on it and
+  /// tracks its coordinated locks. Call before art.start() / before the run.
   void attach(unsigned group, async_runtime& art);
 
   /// Acquisition reports received at the hub (group-0 shard; read
@@ -76,7 +74,6 @@ class fed_coordinator {
   void on_report(std::size_t member_idx, std::vector<std::uint64_t> acquisitions);
 
   ct::federation* fed_;
-  fed_coordinator_config cfg_;
   /// Slots are appended host-side before the run; after that, each member's
   /// `locks` vector is mutated only on the hub shard.
   std::vector<member> members_;

@@ -1,4 +1,4 @@
-// The periodic policy runtime: asynchronous, cross-object adaptation.
+// The periodic policy runtime: asynchronous adaptation.
 //
 // All policies used to run synchronously inside lock/object operations —
 // exactly the monitoring-cost tradeoff §3 of the paper warns about: every
@@ -16,12 +16,9 @@
 //     every registered object's queue through `adaptive_object::pump()`,
 //     runs the installed policy core out-of-band, and charges the monitor /
 //     policy / Ψ costs to *itself* on its own processor.
-//   - On top, a cross-object coordinator observes every registration
-//     globally and rebalances: locks idle for `idle_ticks` consecutive
-//     ticks are demoted to cheap spinning (their waiters, if any ever
-//     arrive, stop paying blocking-handoff cost), and the aggregate stripe
-//     count across coordinated maps is capped under `stripe_budget`
-//     (memory pressure), shrinking the widest map first.
+//   - Idle-lock demotion across objects is not this runtime's: a
+//     `fed_coordinator` (policy/fed_coordinator.hpp) observes each daemon's
+//     ticks and demotes coordinated locks by messages.
 //
 // Determinism contract: daemon wakeups are ordinary simulator events at
 // start + k*period, so runs remain bit-reproducible (FIFO tie-break) and
@@ -31,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "core/adaptive.hpp"
@@ -41,22 +37,9 @@
 #include "locks/adaptive_lock.hpp"
 #include "locks/cost_model.hpp"
 #include "locks/factory.hpp"
-#include "policy/controllers.hpp"
 #include "policy/spec.hpp"
 
 namespace adx::policy {
-
-/// Cross-object rebalancing knobs.
-struct coordinator_config {
-  /// Consecutive ticks with zero new acquisitions after which a coordinated
-  /// lock is demoted. 0 disables idle demotion.
-  std::uint64_t idle_ticks = 4;
-  /// The cheap waiting policy idle locks are demoted to.
-  locks::waiting_policy idle_policy = locks::waiting_policy::pure_spin(16);
-  /// Aggregate active-stripe budget across coordinated maps; exceeding it
-  /// shrinks the widest map by its stripe factor. 0 disables the cap.
-  unsigned stripe_budget = 0;
-};
 
 struct runtime_config {
   /// Virtual-time tick period of the daemon.
@@ -64,11 +47,6 @@ struct runtime_config {
       static_cast<double>(policy_spec::kDefaultPeriodUs));
   /// Processor the daemon is pinned to.
   ct::proc_id proc = 0;
-  /// Fork priority; negative keeps the daemon behind application threads.
-  int priority = -1;
-  /// Safety stop after this many ticks; 0 = run until the workload drains.
-  std::uint64_t max_ticks = 0;
-  coordinator_config coord;
 };
 
 /// The periodic policy runtime. Register async-mode objects, `start()` it
@@ -80,20 +58,15 @@ class async_runtime {
   /// Adopts a factory-made lock whose `params.policy` ran `mode: async`
   /// through the registry. Returns false (and registers nothing) when the
   /// lock is not adaptive or the spec is synchronous — callers can pass
-  /// every lock of a run unconditionally. `spec.coordinate` opts the lock
-  /// into the coordinator's idle-demotion scan.
+  /// every lock of a run unconditionally. `spec.coordinate` lists the lock
+  /// on the external-coordination surface below.
   bool adopt_lock(locks::lock_object& lk, const locks::lock_params& params,
                   const locks::lock_cost_model& cost);
 
-  /// Adopts a generic adaptive object (the monitor): pumped every tick, no
-  /// coordinator hooks.
+  /// Adopts a generic adaptive object (a map or a monitor): pumped every
+  /// tick, no coordinator hooks.
   bool adopt_object(core::adaptive_object& obj, const policy_spec& spec,
                     const locks::lock_cost_model& cost);
-
-  /// Adopts an adaptive map: pumped every tick; when `spec.coordinate` is
-  /// set, its stripe controller joins the aggregate stripe-budget scan.
-  bool adopt_map(core::adaptive_object& obj, stripe_controller& ctl,
-                 const policy_spec& spec, const locks::lock_cost_model& cost);
 
   /// Forks the daemon task (no-op without registrations). Call after the
   /// objects exist and before `rt.run()`.
@@ -101,10 +74,7 @@ class async_runtime {
 
   /// Hands this runtime's tick to an external coordinator (the federated
   /// cross-shard coordinator): the daemon invokes `fn(tick)` at the end of
-  /// every tick, after pumping, and the *local* idle-demotion scan is
-  /// disabled — idle decisions now belong to whoever observes the ticks.
-  /// The stripe-budget scan stays local (stripes are place-local state).
-  /// Call before start(); null detaches.
+  /// every tick, after pumping. Call before start(); null detaches.
   void set_tick_observer(std::function<void(std::uint64_t)> fn) {
     tick_observer_ = std::move(fn);
   }
@@ -112,7 +82,7 @@ class async_runtime {
   // ------- external-coordination surface (federated coordinator) -------
 
   /// Number of locks registered with `coordinate` set, in adoption order.
-  [[nodiscard]] std::size_t coordinated_locks() const;
+  [[nodiscard]] std::size_t coordinated_locks() const { return coordinated_.size(); }
   /// Acquisition count of the i-th coordinated lock (native read — callers
   /// must be on this runtime's shard or host-side after the run).
   [[nodiscard]] std::uint64_t coordinated_acquisitions(std::size_t i) const;
@@ -124,7 +94,6 @@ class async_runtime {
   /// if the lock already runs that policy.
   bool apply_external_demotion(std::size_t i, const locks::waiting_policy& pol);
 
-  [[nodiscard]] const runtime_config& config() const { return cfg_; }
   [[nodiscard]] std::size_t registrations() const { return regs_.size(); }
 
   // ------- introspection (host-side, for tests and benches) -------
@@ -133,41 +102,26 @@ class async_runtime {
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
   /// Observations delivered to policy cores across all registrations.
   [[nodiscard]] std::uint64_t pumped() const { return pumped_; }
-  /// Coordinator idle-lock demotions applied.
-  [[nodiscard]] std::uint64_t demotions() const { return demotions_; }
-  /// Coordinator stripe-budget shrink requests issued.
-  [[nodiscard]] std::uint64_t stripe_caps() const { return stripe_caps_; }
 
  private:
   struct registration {
     core::adaptive_object* obj;
-    locks::adaptive_lock* lock = nullptr;     ///< set for lock adoptions
-    stripe_controller* stripes = nullptr;     ///< set for coordinated maps
+    locks::adaptive_lock* lock = nullptr;  ///< set for lock adoptions
     locks::lock_cost_model cost;
-    bool coordinate = false;
-    // Coordinator state (locks): acquisition count at the last tick and how
-    // many consecutive ticks it stayed flat.
-    std::uint64_t last_acquisitions = 0;
-    std::uint64_t idle_streak = 0;
-    bool demoted = false;
   };
 
   ct::task<void> daemon(ct::context& ctx);
   ct::task<void> charge(ct::context& ctx, const registration& r,
                         std::uint64_t delivered, std::uint64_t reconfigs);
-  ct::task<void> coordinate(ct::context& ctx);
-
-  [[nodiscard]] const registration* coordinated_at(std::size_t i) const;
 
   runtime_config cfg_;
   std::vector<registration> regs_;
+  std::vector<locks::adaptive_lock*> coordinated_;  ///< adoption order
   std::function<void(std::uint64_t)> tick_observer_;
   ct::runtime* rt_ = nullptr;
   bool started_ = false;
   std::uint64_t ticks_ = 0;
   std::uint64_t pumped_ = 0;
-  std::uint64_t demotions_ = 0;
-  std::uint64_t stripe_caps_ = 0;
 };
 
 }  // namespace adx::policy

@@ -132,8 +132,9 @@ struct policy_spec {
   exec_mode mode = exec_mode::sync;
   /// Async runtime tick period in virtual microseconds (async mode only).
   std::uint64_t period_us = kDefaultPeriodUs;
-  /// Opt this object into the cross-object coordinator's global
-  /// rebalancing (async mode only).
+  /// Lists an async adaptive lock on its runtime's coordinated-lock surface,
+  /// so that a `fed_coordinator` the runtime is enrolled with can demote it
+  /// when idle. Without such a coordinator the flag changes nothing.
   bool coordinate = false;
 
   static constexpr std::uint64_t kDefaultPeriodUs = 50;

@@ -31,7 +31,6 @@ cs_result run_cs_workload(const cs_config& cfg) {
   policy::async_runtime art(policy::runtime_config{
       .period = sim::microseconds(static_cast<double>(cfg.params.policy.period_us)),
       .proc = daemon_proc,
-      .coord = {},
   });
   art.adopt_lock(*lk, cfg.params, cfg.cost);
 
@@ -76,7 +75,6 @@ cs_result run_cs_workload(const cs_config& cfg) {
   cs_result res;
   res.policy_ticks = art.ticks();
   res.policy_pumped = art.pumped();
-  res.demotions = art.demotions();
   res.elapsed = run.end_time;
   const auto& s = lk->stats();
   res.acquisitions = s.acquisitions();

@@ -49,11 +49,10 @@ struct cs_result {
   double contention_ratio{0.0};
   /// Critical sections completed per virtual second.
   double throughput{0.0};
-  /// Async policy runtime activity (zero for sync-mode runs): daemon ticks,
-  /// observations pumped to the policy, coordinator idle demotions.
+  /// Async policy runtime activity (zero for sync-mode runs): daemon ticks
+  /// and observations pumped to the policy.
   std::uint64_t policy_ticks{0};
   std::uint64_t policy_pumped{0};
-  std::uint64_t demotions{0};
 };
 
 [[nodiscard]] cs_result run_cs_workload(const cs_config& cfg);

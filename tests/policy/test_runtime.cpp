@@ -7,18 +7,23 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/adaptive.hpp"
+#include "ct/federation.hpp"
 #include "ct/runtime.hpp"
+#include "exec/job_executor.hpp"
 #include "locks/factory.hpp"
 #include "locks/reconfigurable_lock.hpp"
 #include "locks/run_config.hpp"
 #include "objects/object_policy.hpp"
+#include "policy/fed_coordinator.hpp"
 #include "policy/registry.hpp"
+#include "sim/event_domain.hpp"
 #include "workload/cs_workload.hpp"
 
 namespace adx::policy {
@@ -207,38 +212,99 @@ ct::task<void> hammer(ct::context& ctx, locks::lock_object& lk, int iters) {
   }
 }
 
-TEST(AsyncRuntime, CoordinatorDemotesIdleLockEndToEnd) {
-  ct::runtime rt(sim::machine_config::test_machine(2));
+/// What a federated demotion run must reproduce exactly.
+struct fed_demotion {
+  std::uint64_t issued{};
+  std::uint64_t reports{};
+  locks::waiting_policy busy_policy;
+  locks::waiting_policy idle_policy;
+  std::uint64_t busy_reconfigures{};
+  std::uint64_t idle_reconfigures{};
+  std::uint64_t busy_acquisitions{};
+  sim::vtime end{};
+
+  friend bool operator==(const fed_demotion&, const fed_demotion&) = default;
+};
+
+/// Two groups, one async coordinated adaptive lock each, every group's
+/// daemon enrolled with one fed_coordinator. Group 0 hammers its lock in
+/// bursts with pauses shorter than kIdleTicks ticks, so its reports go flat
+/// again and again but never long enough; group 1 never touches its own
+/// lock and only keeps a sleeper alive, so its daemon (which stops once it
+/// is the last live thread) ticks long enough for the hub to see the lock
+/// stay idle.
+fed_demotion run_fed_demotion(unsigned shards, unsigned jobs) {
+  auto mach = sim::machine_config::hierarchical_numa(2, 2);
+  mach.context_switch = sim::microseconds(10);
+  mach.dispatch_latency = sim::microseconds(2);
+  auto dom = sim::make_event_domain(mach, {.shards = shards, .seed = 7});
+  ct::federation fed(mach, *dom);
+  fed_coordinator coord(fed);
   const auto cost = locks::lock_cost_model::fast_test();
   locks::lock_params params;
   params.policy.with_async(10).with_coordinate();
 
-  auto busy = locks::make_lock(locks::lock_kind::adaptive, 0, cost, params);
-  auto idle = locks::make_lock(locks::lock_kind::adaptive, 1, cost, params);
+  std::array<std::unique_ptr<locks::lock_object>, 2> lk;
+  std::array<std::unique_ptr<async_runtime>, 2> art;
+  for (unsigned g = 0; g < 2; ++g) {
+    lk[g] = locks::make_lock(locks::lock_kind::adaptive, 0, cost, params);
+    lk[g]->bind_place(g);
+    auto& rt = fed.group_runtime(g);
+    if (g == 0) {
+      rt.fork(0, [&lk](ct::context& ctx) -> ct::task<void> {
+        for (int burst = 0; burst < 10; ++burst) {
+          co_await hammer(ctx, *lk[0], 10);
+          co_await ctx.sleep_for(sim::microseconds(25));
+        }
+      });
+    } else {
+      rt.fork(0, [](ct::context& ctx) -> ct::task<void> {
+        co_await ctx.sleep_for(sim::microseconds(300));
+      });
+    }
+    art[g] = std::make_unique<async_runtime>(
+        runtime_config{.period = sim::microseconds(10), .proc = 1});
+    EXPECT_TRUE(art[g]->adopt_lock(*lk[g], params, cost));
+    coord.attach(g, *art[g]);
+    art[g]->start(rt);
+  }
 
-  policy::runtime_config rc;
-  rc.period = sim::microseconds(10);
-  rc.proc = 1;
-  rc.coord.idle_ticks = 2;
-  policy::async_runtime art(rc);
-  EXPECT_TRUE(art.adopt_lock(*busy, params, cost));
-  EXPECT_TRUE(art.adopt_lock(*idle, params, cost));
-  EXPECT_EQ(art.registrations(), 2u);
+  exec::job_executor ex(jobs);
+  const auto r = fed.run_all(jobs > 1 ? &ex : nullptr);
+  EXPECT_TRUE(r.completed);
+  auto* busy = dynamic_cast<locks::adaptive_lock*>(lk[0].get());
+  auto* idle = dynamic_cast<locks::adaptive_lock*>(lk[1].get());
+  EXPECT_NE(busy, nullptr);
+  EXPECT_NE(idle, nullptr);
+  if (busy == nullptr || idle == nullptr) return {};
+  return {coord.demotions_issued(),
+          coord.reports(),
+          busy->current_policy(),
+          idle->current_policy(),
+          busy->stats().reconfigures(),
+          idle->stats().reconfigures(),
+          busy->stats().acquisitions(),
+          r.end_time};
+}
 
-  rt.fork(0, [&](ct::context& ctx) { return hammer(ctx, *busy, 100); });
-  art.start(rt);
-  rt.run_all();
-
-  // The idle lock never saw an acquisition: after idle_ticks flat ticks the
-  // coordinator demoted it to the cheap spin policy, visibly and exactly
-  // once (activity never re-armed it).
-  EXPECT_EQ(art.demotions(), 1u);
-  auto* il = dynamic_cast<locks::reconfigurable_lock*>(idle.get());
-  ASSERT_NE(il, nullptr);
-  EXPECT_EQ(il->current_policy(), rc.coord.idle_policy);
-  auto* ilock = dynamic_cast<locks::adaptive_lock*>(idle.get());
-  ASSERT_NE(ilock, nullptr);
-  EXPECT_EQ(ilock->stats().reconfigures(), 1u);
+TEST(FedCoordinator, DemotesOnlyTheIdleGroupsLock) {
+  const auto ref = run_fed_demotion(1, 1);
+  // The idle lock's count stayed flat for kIdleTicks reports: the hub
+  // demoted it to the cheap spin policy, visibly and exactly once.
+  EXPECT_EQ(ref.issued, 1u);
+  EXPECT_GE(ref.reports, 2 * fed_coordinator::kIdleTicks);
+  EXPECT_EQ(ref.idle_policy, locks::waiting_policy::pure_spin(16));
+  EXPECT_EQ(ref.idle_reconfigures, 1u);
+  // The one demotion went to the idle lock: the busy lock's flat streaks
+  // were all cut short by activity.
+  EXPECT_EQ(ref.busy_acquisitions, 100u);
+  EXPECT_NE(ref.busy_policy, fed_coordinator::kIdlePolicy);
+  for (unsigned shards : {1u, 2u}) {
+    for (unsigned jobs : {1u, 2u}) {
+      EXPECT_EQ(run_fed_demotion(shards, jobs), ref)
+          << "shards=" << shards << " jobs=" << jobs;
+    }
+  }
 }
 
 TEST(AsyncRuntime, AdoptRejectsSyncSpecsAndNonAdaptiveLocks) {

@@ -204,7 +204,10 @@ TEST(ClientServer, MultiThreadedPublisherKeepsDumpEqualToStream) {
       pubs.emplace_back([&, t] {
         for (int i = 0; i < 50; ++i) {
           trace_event_msg e;
-          e.name = "t" + std::to_string(t) + "." + std::to_string(i);
+          e.name = "t";
+          e.name += std::to_string(t);
+          e.name += '.';
+          e.name += std::to_string(i);
           e.cat = "mt";
           e.ph = static_cast<std::uint8_t>(obs::phase::instant);
           e.ts_ns = 100 * i + t;

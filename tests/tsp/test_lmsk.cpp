@@ -182,8 +182,11 @@ INSTANTIATE_TEST_SUITE_P(RandomAsymmetric, LmskPinned,
                                          pinned_case{36, 777, 176, 14322, 53733041},
                                          pinned_case{36, 31337, 179, 1908, 9267557}),
                          [](const testing::TestParamInfo<pinned_case>& info) {
-                           return "n" + std::to_string(info.param.n) + "_s" +
-                                  std::to_string(info.param.seed);
+                           std::string name = "n";
+                           name += std::to_string(info.param.n);
+                           name += "_s";
+                           name += std::to_string(info.param.seed);
+                           return name;
                          });
 
 // The scalar kernels the vector ones replaced, kept as the reference: the

@@ -12,12 +12,13 @@
 #include <vector>
 
 #include "exec/job_executor.hpp"
+#include "policy/registry.hpp"
 #include "workload/ct_serve.hpp"
 
 namespace adx::workload {
 namespace {
 
-sharded_cs_config small_cs(unsigned shards) {
+sharded_cs_config small_cs(unsigned shards, bool coordinated = false) {
   sharded_cs_config cfg;
   cfg.machine = sim::machine_config::hierarchical_numa(3, 4);
   cfg.machine.context_switch = sim::microseconds(10);
@@ -28,6 +29,14 @@ sharded_cs_config small_cs(unsigned shards) {
   cfg.cs_length = sim::microseconds(40);
   cfg.think_time = sim::microseconds(120);
   cfg.shards = shards;
+  if (coordinated) {
+    // The benchmark's ring_cs_async shape: async break-even on adaptive
+    // locks, every group's daemon enrolled with the fed_coordinator.
+    cfg.kind = locks::lock_kind::adaptive;
+    cfg.params.policy = policy::default_spec("break-even");
+    cfg.params.policy.with_async().with_coordinate();
+    cfg.coordinate = true;
+  }
   return cfg;
 }
 
@@ -42,19 +51,24 @@ struct cs_signature {
   double rtt_mean{};
   double rtt_p99{};
   std::uint64_t posts{};
+  std::uint64_t policy_ticks{};
+  std::uint64_t policy_pumped{};
+  std::uint64_t coord_reports{};
+  std::uint64_t coord_demotions{};
   sim::domain_stats domain;
 
   friend bool operator==(const cs_signature&, const cs_signature&) = default;
 };
 
-cs_signature run_cs(unsigned shards, unsigned workers) {
-  const auto cfg = small_cs(shards);
+cs_signature run_cs(unsigned shards, unsigned workers, bool coordinated = false) {
+  const auto cfg = small_cs(shards, coordinated);
   exec::job_executor ex(workers);
   const auto r = run_sharded_cs(cfg, workers > 1 ? &ex : nullptr);
   EXPECT_TRUE(r.completed);
-  return {r.elapsed, r.group_acquisitions, r.contended, r.blocks,
-          r.spin_iterations, r.echoes, r.echo_rtt_mean_us, r.echo_rtt_p99_us,
-          r.posts, r.domain};
+  return {r.elapsed,         r.group_acquisitions, r.contended,     r.blocks,
+          r.spin_iterations, r.echoes,             r.echo_rtt_mean_us,
+          r.echo_rtt_p99_us, r.posts,              r.policy_ticks,  r.policy_pumped,
+          r.coord_reports,   r.coord_demotions,    r.domain};
 }
 
 TEST(ShardedCtSweep, RunsAndServesEveryEcho) {
@@ -76,6 +90,21 @@ TEST(ShardedCtSweep, BitIdenticalAcrossShardAndWorkerCounts) {
   for (unsigned shards : {2u, 3u, 8u}) {
     for (unsigned workers : {1u, 8u}) {
       EXPECT_EQ(run_cs(shards, workers), ref)
+          << "shards=" << shards << " workers=" << workers;
+    }
+  }
+}
+
+TEST(ShardedCtSweep, AsyncCoordinatedBitIdenticalAcrossShardAndWorkerCounts) {
+  const auto ref = run_cs(1, 1, /*coordinated=*/true);
+  EXPECT_GT(ref.policy_ticks, 0u);
+  EXPECT_GT(ref.policy_pumped, 0u);
+  // Every daemon tick of groups 1 and 2 reports to the hub by message, and
+  // group 0's own ticks report in place.
+  EXPECT_EQ(ref.coord_reports, ref.policy_ticks);
+  for (unsigned shards : {2u, 3u, 8u}) {
+    for (unsigned workers : {1u, 8u}) {
+      EXPECT_EQ(run_cs(shards, workers, /*coordinated=*/true), ref)
           << "shards=" << shards << " workers=" << workers;
     }
   }
